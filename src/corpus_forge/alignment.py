@@ -254,6 +254,31 @@ def orpo_loss_with_grad(
     return result, grad_c, grad_r
 
 
+def orpo_gradient_error(trials: int, seed: int = 0) -> float:
+    """Worst relative error of orpo_loss_with_grad against central finite
+    differences, over `trials` random instances."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    h = 1e-6
+    worst = 0.0
+    for _ in range(trials):
+        n, m = int(rng.integers(1, 24)), int(rng.integers(1, 24))
+        chosen = -rng.uniform(0.05, 4.0, n)
+        rejected = -rng.uniform(0.05, 4.0, m)
+        lam = float(rng.uniform(0.0, 2.0))
+        _, grad_c, grad_r = orpo_loss_with_grad(chosen, rejected, lam)
+        for side, grad in enumerate((grad_c, grad_r)):
+            for i in range(grad.size):
+                f = []
+                for step in (h, -h):
+                    args = [chosen, rejected]
+                    args[side] = args[side].copy()
+                    args[side][i] += step
+                    f.append(orpo_loss(*args, lam)["loss"])
+                fd = (f[0] - f[1]) / (2 * h)
+                worst = max(worst, abs(fd - grad[i]) / max(abs(grad[i]), 1e-9))
+    return worst
+
+
 def read_preferences(path: str | Path) -> list[PreferenceExample]:
     out = []
     with open(path, encoding="utf-8") as handle:

@@ -8,18 +8,10 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import alignment as align_mod
 from . import bpe, dedup, embeddings, fluency, parallel, schedule, synth
-from .documents import (
-    Document,
-    Extraction,
-    corpus_stats,
-    read_documents,
-    write_documents,
-)
-from .filters import FilterConfig, filter_document, read_wordlist, write_drop_report
+from .documents import Extraction, canonicalize, corpus_stats, read_documents, write_documents
+from .filters import FilterConfig, filter_documents, read_wordlist, write_drop_report
 from .pipeline import (
     ConfigValidationError,
     PipelineConfig,
@@ -51,27 +43,11 @@ def _seed(args) -> int:
     return 0 if args.seed is None else args.seed
 
 
-def _threads(args) -> int:
-    return 1 if args.threads is None else args.threads
-
-
 def _cmd_ingest(args) -> int:
     out = _require(args, "out", "--out")
-
-    def canonical():
-        for doc in _read_many(args.inputs):
-            yield Document(
-                id=doc.id,
-                text=doc.text,
-                language=doc.language or args.language,
-                dataset=args.dataset or doc.dataset,
-                source_url=doc.source_url,
-                scores=doc.scores,
-                extraction=Extraction(args.extraction) if args.extraction else doc.extraction,
-                metadata=doc.metadata,
-            )
-
-    n = write_documents(out, canonical())
+    extraction = Extraction(args.extraction) if args.extraction else None
+    docs = canonicalize(_read_many(args.inputs), args.dataset, args.language, extraction)
+    n = write_documents(out, docs)
     print(f"ingested {n} documents -> {out}")
     return EXIT_OK
 
@@ -93,19 +69,7 @@ def _cmd_filter(args) -> int:
     cfg = _filter_config_from_args(args)
     lm = fluency.read_model(args.fluency_model) if args.fluency_model else None
     dropped = []
-    kept_n = 0
-
-    def run():
-        nonlocal kept_n
-        for doc in _read_many(args.inputs):
-            verdict = filter_document(doc, cfg, lm=lm)
-            if not verdict.keep:
-                dropped.append((doc.id, verdict.reasons))
-                continue
-            kept_n += 1
-            yield doc.with_text(verdict.cleaned_text) if verdict.cleaned_text else doc
-
-    write_documents(out, run())
+    kept_n = write_documents(out, filter_documents(_read_many(args.inputs), cfg, dropped, lm))
     if args.report:
         write_drop_report(args.report, dropped)
     print(f"kept {kept_n}, dropped {len(dropped)} -> {out}")
@@ -128,19 +92,11 @@ def _cmd_fluency_train(args) -> int:
 def _cmd_fluency_score(args) -> int:
     out = _require(args, "out", "--out")
     lm = fluency.read_model(args.model)
-    kept_n = dropped_n = 0
-
-    def run():
-        nonlocal kept_n, dropped_n
-        for doc in fluency.score_documents(lm, _read_many(args.inputs)):
-            if args.drop_below is not None and doc.scores["fluency"] < args.drop_below:
-                dropped_n += 1
-                continue
-            kept_n += 1
-            yield doc
-
-    write_documents(out, run())
-    print(f"scored {kept_n + dropped_n} documents, dropped {dropped_n} -> {out}")
+    dropped = []
+    kept_n = write_documents(
+        out, fluency.drop_disfluent(lm, _read_many(args.inputs), args.drop_below, dropped)
+    )
+    print(f"scored {kept_n + len(dropped)} documents, dropped {len(dropped)} -> {out}")
     return EXIT_OK
 
 
@@ -168,30 +124,17 @@ def _cmd_dedup_run(args) -> int:
     if args.stage == "cross":
         skip = {name for name, _ in specs}
     datasets = [(name, read_documents(path)) for name, path in specs]
-    result = dedup.dedup_corpus(datasets, cfg, skip_intra=skip, threads=_threads(args))
+    result = dedup.dedup_corpus(datasets, cfg, skip_intra=skip)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dedup.write_signatures(out_dir / "signatures.mhsg", result.ids, result.matrix, cfg)
-    stages = ("intra",) if args.stage == "intra" else (
-        ("cross",) if args.stage == "cross" else ("intra", "cross")
-    )
-    for st in stages:
-        dedup.write_cluster_report(out_dir / f"clusters_{st}.jsonl", result.reports[st])
-    if args.stage == "intra":
-        kept_ids = result.reports["intra"].kept
-        survivors = [
-            doc
-            for name, path in specs
-            for doc in read_documents(path)
-            if doc.id in kept_ids
-        ]
-    else:
-        survivors = result.survivors
+    stages = ("intra", "cross") if args.stage == "both" else (args.stage,)
+    dedup.write_dedup_outputs(lambda name: out_dir / name, result, cfg, stages)
+    survivors = result.intra_survivors if args.stage == "intra" else result.survivors
     write_documents(out_dir / "survivors.jsonl", survivors)
     for st in stages:
-        rep = result.reports[st]
-        print(f"{st}: input={len(rep.kept) + len(rep.removed)} removed={len(rep.removed)} "
-              f"clusters={len(rep.clusters)}")
+        summary = result.reports[st].summary()
+        print(f"{st}: input={summary['input']} removed={summary['removed']} "
+              f"clusters={summary['clusters']}")
     return EXIT_OK
 
 
@@ -336,29 +279,7 @@ def _cmd_align_render(args) -> int:
 
 
 def _cmd_align_orpo_check(args) -> int:
-    rng = np.random.Generator(np.random.PCG64(_seed(args)))
-    worst = 0.0
-    for _ in range(args.trials):
-        n, m = int(rng.integers(1, 24)), int(rng.integers(1, 24))
-        chosen = -rng.uniform(0.05, 4.0, n)
-        rejected = -rng.uniform(0.05, 4.0, m)
-        lam = float(rng.uniform(0.0, 2.0))
-        _, grad_c, grad_r = align_mod.orpo_loss_with_grad(chosen, rejected, lam)
-        h = 1e-6
-        for vec, grad in ((chosen, grad_c), (rejected, grad_r)):
-            for i in range(len(vec)):
-                hi, lo = vec.copy(), vec.copy()
-                hi[i] += h
-                lo[i] -= h
-                if vec is chosen:
-                    f_hi = align_mod.orpo_loss(hi, rejected, lam)["loss"]
-                    f_lo = align_mod.orpo_loss(lo, rejected, lam)["loss"]
-                else:
-                    f_hi = align_mod.orpo_loss(chosen, hi, lam)["loss"]
-                    f_lo = align_mod.orpo_loss(chosen, lo, lam)["loss"]
-                fd = (f_hi - f_lo) / (2 * h)
-                denom = max(abs(grad[i]), 1e-9)
-                worst = max(worst, abs(fd - grad[i]) / denom)
+    worst = align_mod.orpo_gradient_error(args.trials, seed=_seed(args))
     ok = worst < 1e-5
     print(f"gradient self-test over {args.trials} instances: max relative error "
           f"{worst:.2e} -> {'OK' if ok else 'FAIL'}")
@@ -371,13 +292,8 @@ def _cmd_stats(args) -> int:
     print(stats.formatted())
     out = getattr(args, "out", None)
     if out:
-        payload = {
-            "per_subcorpus": stats.per_subcorpus,
-            "total_tokens": stats.total_tokens,
-            "percentages": stats.percentages,
-        }
         Path(out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     return EXIT_OK
 
@@ -421,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="global random seed (default 0; run: config value)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default 1; run: config value)")
+                        help="thread count (run: config value; currently has no effect)")
     parser.add_argument("--out", default=None, help="output file or directory")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -576,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="override the config seed")
     p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   help="override the config thread count")
+                   help="override the config thread count (currently has no effect)")
     p.add_argument("--validate-only", action="store_true")
     p.set_defaults(func=_cmd_run)
 

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -61,6 +60,14 @@ class DedupReport:
     clusters: list[list[str]]  # ids per duplicate cluster, kept id first
     kept: set[str]
     removed: set[str] = field(default_factory=set)
+
+    def summary(self) -> dict[str, int]:
+        return {
+            "input": len(self.kept) + len(self.removed),
+            "kept": len(self.kept),
+            "removed": len(self.removed),
+            "clusters": len(self.clusters),
+        }
 
     def validate(self, input_ids: Collection[str]) -> None:
         ids = set(input_ids)
@@ -216,23 +223,14 @@ def candidate_pairs(
     return pairs
 
 
-def _signature_matrix(texts: Sequence[str], cfg: DedupConfig, threads: int = 1) -> tuple[np.ndarray, list[bool]]:
+def _signature_matrix(texts: Sequence[str], cfg: DedupConfig) -> tuple[np.ndarray, list[bool]]:
     """Signatures for all texts as one (n, num_perm) array plus empty flags."""
-    n = len(texts)
-    matrix = np.empty((n, cfg.num_perm), dtype=np.uint64)
-    empty = [False] * n
-
-    def work(i: int) -> None:
-        sh = shingle(texts[i], cfg.shingle_n)
-        empty[i] = not sh
+    matrix = np.empty((len(texts), cfg.num_perm), dtype=np.uint64)
+    empty = []
+    for i, text in enumerate(texts):
+        sh = shingle(text, cfg.shingle_n)
+        empty.append(not sh)
         matrix[i, :] = signature_values(sh, cfg)
-
-    if threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n)))
-    else:
-        for i in range(n):
-            work(i)
     return matrix, empty
 
 
@@ -285,39 +283,42 @@ def _report_from_clusters(stage: str, ids: Sequence[str], clusters: list[list[in
 class DedupResult:
     reports: dict[str, DedupReport]
     survivors: list[Document]  # ingestion order
+    intra_survivors: list[Document]  # survivors of stage "intra" alone, ingestion order
     ids: list[str]  # all input ids, ingestion order
     matrix: np.ndarray  # signatures of all inputs, one row per id
-    dataset_of: list[str]  # dataset name per input id
+
+
+def _dropped(clusters: list[list[int]]) -> set[int]:
+    """Every member of each cluster but its first (lowest) index."""
+    return {i for members in clusters for i in members[1:]}
 
 
 def dedup_corpus(
     datasets: Sequence[tuple[str, Iterable[Document]]],
     cfg: DedupConfig,
     skip_intra: Collection[str] = (),
-    threads: int = 1,
 ) -> DedupResult:
     """Two-stage near-deduplication.
 
     Stage "intra" removes duplicates within each dataset not listed in
     skip_intra; stage "cross" concatenates the survivors and removes
     duplicates across datasets. Within a cluster the member with the lowest
-    ingestion index is kept.
+    ingestion index is kept. Survivors are decided by ingestion index, so
+    documents that share an id are kept or removed independently.
     """
     skip = set(skip_intra)
     docs: list[Document] = []
     ids: list[str] = []
-    dataset_of: list[str] = []
     dataset_slices: list[tuple[str, int, int]] = []
     for name, stream in datasets:
         start = len(docs)
         for doc in stream:
             docs.append(doc)
             ids.append(doc.id)
-            dataset_of.append(name)
         dataset_slices.append((name, start, len(docs)))
 
     texts = [d.text for d in docs]
-    matrix, empty = _signature_matrix(texts, cfg, threads=threads)
+    matrix, empty = _signature_matrix(texts, cfg)
 
     intra_clusters: list[list[int]] = []
     for name, start, stop in dataset_slices:
@@ -330,7 +331,8 @@ def dedup_corpus(
     intra_clusters.sort(key=lambda c: c[0])
     intra_report = _report_from_clusters("intra", ids, intra_clusters)
 
-    survivors = [i for i in range(len(docs)) if ids[i] in intra_report.kept]
+    intra_removed = _dropped(intra_clusters)
+    survivors = [i for i in range(len(docs)) if i not in intra_removed]
     surv_ids = [ids[i] for i in survivors]
     surv_texts = [texts[i] for i in survivors]
     surv_matrix = matrix[survivors]
@@ -338,14 +340,27 @@ def dedup_corpus(
     cross_clusters = _cluster(surv_ids, surv_texts, surv_matrix, surv_empty, cfg)
     cross_report = _report_from_clusters("cross", surv_ids, cross_clusters)
 
-    final = [docs[i] for i in survivors if ids[i] in cross_report.kept]
+    cross_removed = _dropped(cross_clusters)
     return DedupResult(
         reports={"intra": intra_report, "cross": cross_report},
-        survivors=final,
+        survivors=[docs[i] for pos, i in enumerate(survivors) if pos not in cross_removed],
+        intra_survivors=[docs[i] for i in survivors],
         ids=ids,
         matrix=matrix,
-        dataset_of=dataset_of,
     )
+
+
+def write_dedup_outputs(
+    path: Callable[[str], Path],
+    result: DedupResult,
+    cfg: DedupConfig,
+    stages: Sequence[str] = ("intra", "cross"),
+) -> None:
+    """The signature cache and one cluster report per stage, each written to
+    `path(file_name)`."""
+    write_signatures(path("signatures.mhsg"), result.ids, result.matrix, cfg)
+    for st in stages:
+        write_cluster_report(path(f"clusters_{st}.jsonl"), result.reports[st])
 
 
 def write_cluster_report(path: str | Path, report: DedupReport) -> int:

@@ -213,6 +213,29 @@ def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
     return n
 
 
+def canonicalize(
+    docs: Iterable[Document],
+    dataset: str = "",
+    language: str = "",
+    extraction: Extraction | None = None,
+) -> Iterator[Document]:
+    """Documents with recomputed word counts and filled-in provenance: a
+    given dataset or extraction kind replaces the document's own, a given
+    language only fills in a missing one."""
+    for doc in docs:
+        yield Document(
+            id=doc.id,
+            text=doc.text,
+            language=doc.language or language,
+            num_words=None,
+            dataset=dataset or doc.dataset,
+            source_url=doc.source_url,
+            scores=doc.scores,
+            extraction=extraction or doc.extraction,
+            metadata=doc.metadata,
+        )
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     """Per-subcorpus token accounting with full-precision percentages."""
@@ -230,6 +253,13 @@ class CorpusStats:
         else:
             pct = {k: 0.0 for k in counts}
         return cls(per_subcorpus=counts, total_tokens=total, percentages=pct)
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "per_subcorpus": self.per_subcorpus,
+            "total_tokens": self.total_tokens,
+            "percentages": self.percentages,
+        }
 
     def merged_with(self, other: "CorpusStats") -> "CorpusStats":
         counts = dict(self.per_subcorpus)

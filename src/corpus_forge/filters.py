@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 from urllib.parse import urlsplit
 
 from .documents import Document, Extraction
@@ -197,6 +197,22 @@ def filter_document(doc: Document, cfg: FilterConfig, lm=None) -> Verdict:
             reasons.append(RULE_FLUENCY)
 
     return Verdict(keep=not reasons, reasons=tuple(reasons), cleaned_text=cleaned_text)
+
+
+def filter_documents(
+    docs: Iterable[Document],
+    cfg: FilterConfig,
+    dropped: list[tuple[str, tuple[str, ...]]],
+    lm=None,
+) -> Iterator[Document]:
+    """Survivors of filter_document, with PDF-cleaned text applied; each
+    dropped document's (id, reasons) is appended to `dropped`."""
+    for doc in docs:
+        verdict = filter_document(doc, cfg, lm=lm)
+        if not verdict.keep:
+            dropped.append((doc.id, verdict.reasons))
+            continue
+        yield doc.with_text(verdict.cleaned_text) if verdict.cleaned_text else doc
 
 
 def write_drop_report(path: str | Path, dropped: Iterable[tuple[str, tuple[str, ...]]]) -> int:

@@ -338,3 +338,19 @@ def score_documents(lm: NGramLM, docs: Iterable[Document]) -> Iterator[Document]
             yield doc.with_score("fluency", 0.0)
             continue
         yield doc.with_score("fluency", lm.document_score(doc.text))
+
+
+def drop_disfluent(
+    lm: NGramLM,
+    docs: Iterable[Document],
+    threshold: float | None,
+    dropped: list[tuple[str, tuple[str, ...]]],
+) -> Iterator[Document]:
+    """Score `docs` and yield those at or above `threshold` (all of them when
+    it is None); each one below it is appended to `dropped` as
+    (id, ("fluency",))."""
+    for doc in score_documents(lm, docs):
+        if threshold is not None and doc.scores["fluency"] < threshold:
+            dropped.append((doc.id, ("fluency",)))
+            continue
+        yield doc

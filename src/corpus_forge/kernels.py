@@ -1,14 +1,6 @@
-"""Hot numeric kernels: seeded 64-bit shingle hashing and MinHash minima.
-
-Each kernel exists twice: a numba ``@njit`` build (default) and a pure-numpy
-build. Both compute bit-identical results; the numpy path is selected by
-setting ``CORPUS_FORGE_NO_NUMBA=1`` (or when numba is not importable).
-``benchmarks/bench_kernels.py`` compares the two.
-"""
+"""Hot numeric kernels: seeded 64-bit shingle hashing and MinHash minima."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -17,38 +9,8 @@ FNV_PRIME = 0x100000001B3
 U64_MAX = 0xFFFFFFFFFFFFFFFF
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("CORPUS_FORGE_NO_NUMBA", "").lower() in {"1", "true", "yes"}
-
-
-def _fnv1a_hashes_loop(data, offsets, seed):
-    # FNV-1a over data[offsets[i]:offsets[i+1]], state seeded by XOR.
-    n = offsets.shape[0] - 1
-    out = np.empty(n, np.uint64)
-    prime = np.uint64(FNV_PRIME)
-    base = np.uint64(FNV_OFFSET) ^ np.uint64(seed)
-    for i in range(n):
-        h = base
-        for p in range(offsets[i], offsets[i + 1]):
-            h = (h ^ np.uint64(data[p])) * prime
-        out[i] = h
-    return out
-
-
-def _minhash_values_loop(hashes, mul, add):
-    # out[j] = min_i (mul[j] * hashes[i] + add[j]) mod 2**64
-    num_perm = mul.shape[0]
-    out = np.full(num_perm, np.uint64(U64_MAX), np.uint64)
-    for i in range(hashes.shape[0]):
-        h = hashes[i]
-        for j in range(num_perm):
-            v = mul[j] * h + add[j]
-            if v < out[j]:
-                out[j] = v
-    return out
-
-
-def _fnv1a_hashes_numpy(data, offsets, seed):
+def fnv1a_hashes(data, offsets, seed):
+    """FNV-1a over data[offsets[i]:offsets[i+1]], state seeded by XOR."""
     n = offsets.shape[0] - 1
     lengths = offsets[1:] - offsets[:-1]
     h = np.full(n, FNV_OFFSET ^ int(seed) & U64_MAX, dtype=np.uint64)
@@ -64,7 +26,8 @@ def _fnv1a_hashes_numpy(data, offsets, seed):
     return h
 
 
-def _minhash_values_numpy(hashes, mul, add):
+def minhash_values(hashes, mul, add):
+    """out[j] = min_i (mul[j] * hashes[i] + add[j]) mod 2**64."""
     out = np.full(mul.shape[0], U64_MAX, dtype=np.uint64)
     chunk = 4096
     for s in range(0, hashes.shape[0], chunk):
@@ -72,21 +35,6 @@ def _minhash_values_numpy(hashes, mul, add):
         vals = block[:, None] * mul[None, :] + add[None, :]
         np.minimum(out, vals.min(axis=0), out=out)
     return out
-
-
-USING_NUMBA = not _numba_disabled()
-if USING_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - environment without numba
-        USING_NUMBA = False
-
-if USING_NUMBA:
-    fnv1a_hashes = njit(cache=True, nogil=True)(_fnv1a_hashes_loop)
-    minhash_values = njit(cache=True, nogil=True)(_minhash_values_loop)
-else:
-    fnv1a_hashes = _fnv1a_hashes_numpy
-    minhash_values = _minhash_values_numpy
 
 
 def pack_byte_strings(items) -> tuple[np.ndarray, np.ndarray]:
@@ -101,6 +49,6 @@ def pack_byte_strings(items) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hash_byte_strings(items, seed: int) -> np.ndarray:
-    """Seeded 64-bit hash of each byte string (active kernel build)."""
+    """Seeded 64-bit hash of each byte string."""
     data, offsets = pack_byte_strings(items)
     return fnv1a_hashes(data, offsets, np.uint64(seed))

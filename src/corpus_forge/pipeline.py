@@ -2,8 +2,10 @@
 
 Every stage reads its inputs from files and writes its outputs to files under
 the run's output directory, so any stage can be rerun independently and two
-runs with the same seed are byte-identical. Outputs are written with a
-.partial suffix and renamed only when the stage succeeds.
+runs with the same seed are byte-identical. A stage that reads documents takes
+each dataset from the latest earlier document stage (see `_input_path`).
+Outputs are written with a .partial suffix and renamed only when the stage
+succeeds.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from . import bpe, dedup, embeddings, fluency, parallel, schedule
 from .documents import (
     Document,
     Extraction,
+    canonicalize,
     corpus_stats,
     read_documents,
     write_documents,
 )
-from .filters import FilterConfig, filter_document, read_wordlist, write_drop_report
+from .filters import FilterConfig, filter_documents, read_wordlist, write_drop_report
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +44,8 @@ STAGE_NAMES = (
     "alignment",
     "stats",
 )
+# Stages that write one <dataset>.jsonl per dataset for the stages after them.
+DOC_STAGES = ("ingest", "filter", "fluency", "dedup")
 
 
 class ConfigValidationError(ValueError):
@@ -200,8 +205,16 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
     if len(set(names)) != len(names):
         error("duplicate dataset names")
     for ds in cfg.datasets:
-        if not ds.path.exists():
+        if "ingest" in stages and not ds.path.exists():
             error(f"dataset {ds.name!r}: missing file {ds.path}")
+    readers = {"filter", "dedup", "tokenizer", "stats"}
+    if cfg.fluency.get("enabled", False):
+        readers.add("fluency")
+    for stage in [s for s in STAGE_NAMES if s in stages & readers]:
+        for ds in cfg.datasets:
+            if _input_path(cfg, stage, ds) is None:
+                error(f"{stage} stage has no input for dataset {ds.name!r}: no earlier "
+                      f"document stage runs or left {ds.name}.jsonl under {cfg.output_dir}")
 
     f = cfg.filters
     wordlists_ok = True
@@ -253,10 +266,13 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
                 error(f"base vocabulary file missing: {t['base_vocab_path']}")
         elif t.get("base_dataset") not in names:
             error(f"tokenizer base_dataset {t.get('base_dataset')!r} is not configured")
-    if "embedding" in stages and "tokenizer" not in stages:
-        error("embedding stage requires the tokenizer stage")
-    if "stats" in stages and "tokenizer" not in stages:
-        error("stats stage requires the tokenizer stage")
+    for name, vocabs in (("embedding", ("base_vocab.json", "extended_vocab.json")),
+                         ("stats", ("extended_vocab.json",))):
+        if name in stages and "tokenizer" not in stages:
+            missing = [v for v in vocabs if not (cfg.output_dir / "tokenizer" / v).exists()]
+            if missing:
+                error(f"{name} stage requires the tokenizer stage or "
+                      f"{', '.join(missing)} under {cfg.output_dir / 'tokenizer'}")
     e = cfg.embedding
     if e.get("base_matrix_path") is not None and not Path(e["base_matrix_path"]).exists():
         error(f"embedding base matrix missing: {e['base_matrix_path']}")
@@ -347,77 +363,59 @@ def _rel_paths(paths: list[Path], root: Path) -> list[str]:
     return [str(p.relative_to(root)) for p in paths]
 
 
-class _Context:
-    def __init__(self, cfg: PipelineConfig):
-        self.cfg = cfg
-        self.current: dict[str, Path] = {}  # dataset name -> latest jsonl
-
-    def docs(self, name: str) -> Iterator[Document]:
-        return read_documents(self.current[name])
+def _scores_fluency(cfg: PipelineConfig, ds: DatasetSpec) -> bool:
+    applies_to = cfg.filters.get("fluency_applies_to", ["pdf"])
+    return bool(cfg.fluency.get("enabled", False)) and ds.extraction.value in applies_to
 
 
-def _stage_ingest(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _input_path(cfg: PipelineConfig, stage: str, ds: DatasetSpec) -> Path | None:
+    """The file `stage` reads dataset `ds` from: that of the latest document
+    stage before it that either runs in this invocation or precedes its first
+    stage and left the file on disk. Fluency counts only for the datasets it
+    scores. None when there is no such file."""
+    order = STAGE_NAMES.index
+    first = min((order(s) for s in cfg.stages if s in STAGE_NAMES), default=order(stage))
+    for st in reversed(DOC_STAGES):
+        if order(st) >= order(stage) or (st == "fluency" and not _scores_fluency(cfg, ds)):
+            continue
+        path = cfg.output_dir / st / f"{ds.name}.jsonl"
+        if st in cfg.stages or (order(st) < first and path.exists()):
+            return path
+    return None
+
+
+def _docs(cfg: PipelineConfig, stage: str, ds: DatasetSpec) -> Iterator[Document]:
+    return read_documents(_input_path(cfg, stage, ds))
+
+
+def _stage_ingest(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "ingest")
     total = 0
     for ds in cfg.datasets:
-        out_path = stage.path(f"{ds.name}.jsonl")
-
-        def canonical(ds=ds) -> Iterator[Document]:
-            for doc in read_documents(ds.path):
-                yield Document(
-                    id=doc.id,
-                    text=doc.text,
-                    language=doc.language or ds.language,
-                    num_words=None,
-                    dataset=ds.name,
-                    source_url=doc.source_url,
-                    scores=doc.scores,
-                    extraction=ds.extraction,
-                    metadata=doc.metadata,
-                )
-
-        total += write_documents(out_path, canonical())
+        docs = canonicalize(read_documents(ds.path), ds.name, ds.language, ds.extraction)
+        total += write_documents(stage.path(f"{ds.name}.jsonl"), docs)
     finals = stage.finalize()
-    for ds, path in zip(cfg.datasets, finals):
-        ctx.current[ds.name] = path
     return StageResult("ingest", total, total, 0, _rel_paths(finals, cfg.output_dir))
 
 
-def _stage_filter(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _stage_filter(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "filter")
     fcfg = cfg.filter_config()
-    total = kept_n = 0
+    kept_n = 0
     dropped: list[tuple[str, tuple[str, ...]]] = []
-    out_paths = []
     for ds in cfg.datasets:
-        out_path = stage.path(f"{ds.name}.jsonl")
-        out_paths.append(out_path)
-
-        def run(ds=ds) -> Iterator[Document]:
-            nonlocal total, kept_n
-            for doc in ctx.docs(ds.name):
-                total += 1
-                verdict = filter_document(doc, fcfg, lm=None)
-                if not verdict.keep:
-                    dropped.append((doc.id, verdict.reasons))
-                    continue
-                kept_n += 1
-                yield doc.with_text(verdict.cleaned_text) if verdict.cleaned_text else doc
-
-        write_documents(out_path, run())
-    report_path = stage.path("drop_report.jsonl")
-    write_drop_report(report_path, dropped)
+        survivors = filter_documents(_docs(cfg, "filter", ds), fcfg, dropped)
+        kept_n += write_documents(stage.path(f"{ds.name}.jsonl"), survivors)
+    write_drop_report(stage.path("drop_report.jsonl"), dropped)
     finals = stage.finalize()
-    for ds, path in zip(cfg.datasets, finals):
-        ctx.current[ds.name] = path
-    return StageResult("filter", total, kept_n, total - kept_n,
+    total = kept_n + len(dropped)
+    return StageResult("filter", total, kept_n, len(dropped),
                        _rel_paths(finals, cfg.output_dir))
 
 
-def _stage_fluency(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _stage_fluency(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "fluency")
     fl = cfg.fluency
-    fcfg = cfg.filter_config()
     if not fl.get("enabled", False):
         return StageResult("fluency", 0, 0, 0, [])
 
@@ -425,9 +423,10 @@ def _stage_fluency(cfg: PipelineConfig, ctx: _Context) -> StageResult:
         lm = fluency.read_model(fl["model_path"])
     else:
         max_chars = int(fl.get("max_train_chars", 1_000_000))
+        train_ds = next(ds for ds in cfg.datasets if ds.name == fl["train_dataset"])
         train_docs: list[Document] = []
         chars = 0
-        for doc in ctx.docs(fl["train_dataset"]):
+        for doc in _docs(cfg, "fluency", train_ds):
             train_docs.append(doc)
             chars += len(doc.text)
             if chars >= max_chars:
@@ -441,72 +440,44 @@ def _stage_fluency(cfg: PipelineConfig, ctx: _Context) -> StageResult:
         model_path = stage.path("model.nglm")
         fluency.write_model(lm, model_path)
 
-    threshold = fcfg.fluency_threshold
-    total = kept_n = 0
+    threshold = cfg.filter_config().fluency_threshold
+    kept_n = 0
     dropped: list[tuple[str, tuple[str, ...]]] = []
     for ds in cfg.datasets:
-        if ds.extraction not in fcfg.fluency_applies_to:
+        if not _scores_fluency(cfg, ds):
             continue
-        out_path = stage.path(f"{ds.name}.jsonl")
-
-        def run(ds=ds) -> Iterator[Document]:
-            nonlocal total, kept_n
-            for doc in fluency.score_documents(lm, ctx.docs(ds.name)):
-                total += 1
-                if doc.scores["fluency"] < threshold:
-                    dropped.append((doc.id, ("fluency",)))
-                    continue
-                kept_n += 1
-                yield doc
-
-        write_documents(out_path, run())
-    report_path = stage.path("drop_report.jsonl")
-    write_drop_report(report_path, dropped)
+        survivors = fluency.drop_disfluent(lm, _docs(cfg, "fluency", ds), threshold, dropped)
+        kept_n += write_documents(stage.path(f"{ds.name}.jsonl"), survivors)
+    write_drop_report(stage.path("drop_report.jsonl"), dropped)
     finals = stage.finalize()
-    for ds in cfg.datasets:
-        target = stage.dir / f"{ds.name}.jsonl"
-        if target in finals:
-            ctx.current[ds.name] = target
-    return StageResult("fluency", total, kept_n, total - kept_n,
+    total = kept_n + len(dropped)
+    return StageResult("fluency", total, kept_n, len(dropped),
                        _rel_paths(finals, cfg.output_dir))
 
 
-def _stage_dedup(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _stage_dedup(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "dedup")
     dcfg = cfg.dedup_config()
-    datasets = [(ds.name, ctx.docs(ds.name)) for ds in cfg.datasets]
+    datasets = [(ds.name, _docs(cfg, "dedup", ds)) for ds in cfg.datasets]
     skip = [ds.name for ds in cfg.datasets if ds.pre_deduplicated]
-    result = dedup.dedup_corpus(datasets, dcfg, skip_intra=skip, threads=cfg.threads)
-
-    dedup.write_signatures(stage.path("signatures.mhsg"), result.ids, result.matrix, dcfg)
-    dedup.write_cluster_report(stage.path("clusters_intra.jsonl"), result.reports["intra"])
-    dedup.write_cluster_report(stage.path("clusters_cross.jsonl"), result.reports["cross"])
+    result = dedup.dedup_corpus(datasets, dcfg, skip_intra=skip)
+    dedup.write_dedup_outputs(stage.path, result, dcfg)
 
     by_dataset: dict[str, list[Document]] = {ds.name: [] for ds in cfg.datasets}
     for doc in result.survivors:
         by_dataset[doc.dataset].append(doc)
     for ds in cfg.datasets:
         write_documents(stage.path(f"{ds.name}.jsonl"), by_dataset[ds.name])
-    summary = {
-        st: {
-            "input": len(rep.kept) + len(rep.removed),
-            "kept": len(rep.kept),
-            "removed": len(rep.removed),
-            "clusters": len(rep.clusters),
-        }
-        for st, rep in result.reports.items()
-    }
+    summary = {st: rep.summary() for st, rep in result.reports.items()}
     _write_json(stage.path("summary.json"), summary)
     finals = stage.finalize()
-    for ds in cfg.datasets:
-        ctx.current[ds.name] = stage.dir / f"{ds.name}.jsonl"
     total = len(result.ids)
     kept_n = len(result.survivors)
     return StageResult("dedup", total, kept_n, total - kept_n,
                        _rel_paths(finals, cfg.output_dir))
 
 
-def _stage_parallel(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _stage_parallel(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "parallel")
     pcfg = cfg.parallel_config()
     order = cfg.parallel.get("order", "filter-then-dedup")
@@ -536,22 +507,23 @@ def _stage_parallel(cfg: PipelineConfig, ctx: _Context) -> StageResult:
                        _rel_paths(finals, cfg.output_dir))
 
 
-def _take_docs(ctx: _Context, names: list[str], limit: int | None) -> list[Document]:
+def _take_docs(
+    cfg: PipelineConfig, stage: str, datasets: list[DatasetSpec], limit: int | None
+) -> list[Document]:
     out: list[Document] = []
-    for name in names:
-        for doc in ctx.docs(name):
+    for ds in datasets:
+        for doc in _docs(cfg, stage, ds):
             out.append(doc)
             if limit is not None and len(out) >= limit:
                 return out
     return out
 
 
-def _greek_dataset_names(cfg: PipelineConfig) -> list[str]:
-    names = [ds.name for ds in cfg.datasets if ds.language == "el"]
-    return names or [ds.name for ds in cfg.datasets]
+def _greek_datasets(cfg: PipelineConfig) -> list[DatasetSpec]:
+    return [ds for ds in cfg.datasets if ds.language == "el"] or cfg.datasets
 
 
-def _stage_tokenizer(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _stage_tokenizer(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "tokenizer")
     t = cfg.tokenizer
     max_docs = t.get("max_train_docs")
@@ -560,17 +532,18 @@ def _stage_tokenizer(cfg: PipelineConfig, ctx: _Context) -> StageResult:
         if isinstance(base, bpe.ExtendedVocab):
             raise ValueError("base_vocab_path must point to a base vocabulary")
     else:
-        base_docs = _take_docs(ctx, [t["base_dataset"]], max_docs)
+        base_ds = [ds for ds in cfg.datasets if ds.name == t["base_dataset"]]
+        base_docs = _take_docs(cfg, "tokenizer", base_ds, max_docs)
         base = bpe.train_bpe(base_docs, int(t.get("base_target_tokens", 2000)), seed=cfg.seed)
-    greek_names = _greek_dataset_names(cfg)
-    train_docs = _take_docs(ctx, greek_names, max_docs)
+    greek = _greek_datasets(cfg)
+    train_docs = _take_docs(cfg, "tokenizer", greek, max_docs)
     learned = bpe.train_bpe(train_docs, int(t.get("new_target_tokens", 2000)), seed=cfg.seed)
     ext = bpe.extend_vocab(base, learned)
 
     bpe.save_vocab(base, stage.path("base_vocab.json"))
     bpe.save_vocab(ext, stage.path("extended_vocab.json"))
 
-    sample = _take_docs(ctx, greek_names, t.get("fertility_sample_docs", 2000))
+    sample = _take_docs(cfg, "tokenizer", greek, t.get("fertility_sample_docs", 2000))
     base_tokens, base_words = bpe.fertility_counts(bpe.ExtendedVocab.from_base(base), sample)
     ext_tokens, ext_words = bpe.fertility_counts(ext, sample)
     _write_json(
@@ -589,7 +562,7 @@ def _stage_tokenizer(cfg: PipelineConfig, ctx: _Context) -> StageResult:
     return StageResult("tokenizer", n, n, 0, _rel_paths(finals, cfg.output_dir))
 
 
-def _stage_embedding(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _stage_embedding(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "embedding")
     e = cfg.embedding
     base_vocab = bpe.load_vocab(cfg.output_dir / "tokenizer" / "base_vocab.json")
@@ -630,7 +603,7 @@ def _stage_embedding(cfg: PipelineConfig, ctx: _Context) -> StageResult:
     return StageResult("embedding", rows, rows, 0, _rel_paths(finals, cfg.output_dir))
 
 
-def _stage_plan(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _stage_plan(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "plan")
     plans = schedule.builtin_plans()
     for name, plan in plans.items():
@@ -641,7 +614,7 @@ def _stage_plan(cfg: PipelineConfig, ctx: _Context) -> StageResult:
     return StageResult("plan", n, n, 0, _rel_paths(finals, cfg.output_dir))
 
 
-def _stage_alignment(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _stage_alignment(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "alignment")
     a = cfg.alignment
     examples = align_mod.read_preferences(a["preferences_path"])
@@ -660,14 +633,14 @@ def _stage_alignment(cfg: PipelineConfig, ctx: _Context) -> StageResult:
                        _rel_paths(finals, cfg.output_dir))
 
 
-def _stage_stats(cfg: PipelineConfig, ctx: _Context) -> StageResult:
+def _stage_stats(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "stats")
     vocab = bpe.load_vocab(cfg.output_dir / "tokenizer" / "extended_vocab.json")
     every = int(cfg.stats.get("sample_every", 1))
 
     def sampled() -> Iterator[Document]:
         for ds in cfg.datasets:
-            for i, doc in enumerate(ctx.docs(ds.name)):
+            for i, doc in enumerate(_docs(cfg, "stats", ds)):
                 if i % every == 0:
                     yield doc
 
@@ -676,9 +649,7 @@ def _stage_stats(cfg: PipelineConfig, ctx: _Context) -> StageResult:
         stage.path("corpus_stats.json"),
         {
             "sample_every": every,
-            "per_subcorpus": stats.per_subcorpus,
-            "total_tokens": stats.total_tokens,
-            "percentages": stats.percentages,
+            **stats.as_dict(),
             "percentages_rounded_pp": stats.rounded_percentages(),
         },
     )
@@ -722,13 +693,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         raise ConfigValidationError(errors)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    ctx = _Context(cfg)
     report = RunReport(seed=cfg.seed)
     for name in cfg.stages:
         fn = _STAGE_FUNCS[name]
         started = time.perf_counter()
         try:
-            result = fn(cfg, ctx)
+            result = fn(cfg)
         except Exception as exc:
             raise StageError(name, exc) from exc
         log.info(

@@ -1,8 +1,24 @@
-"""The active kernel build must agree bit-for-bit with the numpy fallback."""
+"""The vectorized kernels must agree bit-for-bit with scalar pure-Python oracles."""
 
 import numpy as np
 
 from corpus_forge import kernels
+
+MASK = 2**64 - 1
+
+
+def _fnv1a_oracle(item: bytes, seed: int) -> int:
+    h = kernels.FNV_OFFSET ^ seed
+    for byte in item:
+        h = ((h ^ byte) * kernels.FNV_PRIME) & MASK
+    return h
+
+
+def _minhash_oracle(hashes, mul, add) -> list[int]:
+    return [
+        min([(int(m) * int(h) + int(a)) & MASK for h in hashes], default=MASK)
+        for m, a in zip(mul, add)
+    ]
 
 
 def _random_items(rng, n):
@@ -12,24 +28,24 @@ def _random_items(rng, n):
     ]
 
 
-def test_hashes_match_numpy_fallback():
+def test_hashes_match_scalar_oracle():
     rng = np.random.Generator(np.random.PCG64(0))
     items = _random_items(rng, 500)
     data, offsets = kernels.pack_byte_strings(items)
     for seed in (0, 1, 2**63):
-        active = kernels.fnv1a_hashes(data, offsets, np.uint64(seed))
-        fallback = kernels._fnv1a_hashes_numpy(data, offsets, np.uint64(seed))
-        assert (active == fallback).all()
+        got = kernels.fnv1a_hashes(data, offsets, np.uint64(seed))
+        assert [int(h) for h in got] == [_fnv1a_oracle(it, seed) for it in items]
+        assert (kernels.hash_byte_strings(items, seed) == got).all()
 
 
-def test_minhash_matches_numpy_fallback():
+def test_minhash_matches_scalar_oracle():
     rng = np.random.Generator(np.random.PCG64(1))
-    hashes = rng.integers(0, 2**64, size=1000, dtype=np.uint64)
-    mul = rng.integers(0, 2**64, size=64, dtype=np.uint64) | np.uint64(1)
-    add = rng.integers(0, 2**64, size=64, dtype=np.uint64)
-    active = kernels.minhash_values(hashes, mul, add)
-    fallback = kernels._minhash_values_numpy(hashes, mul, add)
-    assert (active == fallback).all()
+    # More hashes than one 4096-row chunk, so the chunked minimum is covered.
+    hashes = rng.integers(0, 2**64, size=5000, dtype=np.uint64)
+    mul = rng.integers(0, 2**64, size=16, dtype=np.uint64) | np.uint64(1)
+    add = rng.integers(0, 2**64, size=16, dtype=np.uint64)
+    got = kernels.minhash_values(hashes, mul, add)
+    assert [int(v) for v in got] == _minhash_oracle(hashes, mul, add)
 
 
 def test_empty_inputs():

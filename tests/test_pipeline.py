@@ -3,11 +3,14 @@ import shutil
 
 import pytest
 
+from corpus_forge import dedup
 from corpus_forge.cli import main
 from corpus_forge.pipeline import (
+    STAGE_NAMES,
     ConfigValidationError,
     PipelineConfig,
     StageError,
+    _input_path,
     run_pipeline,
     validate_config,
 )
@@ -15,6 +18,19 @@ from corpus_forge.pipeline import (
 
 def _load(demo_dir):
     return PipelineConfig.load(demo_dir / "config.json")
+
+
+def _tree(root):
+    """Relative path -> bytes of every file under root except run_report.json."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "run_report.json"
+    }
+
+
+def _errors(cfg):
+    return [i.message for i in validate_config(cfg) if i.level == "error"]
 
 
 def test_demo_config_validates_clean(demo_dir):
@@ -138,9 +154,9 @@ def test_stage_failure_leaves_partials(demo_dir, tmp_path):
 
     original = pl._stage_parallel
 
-    def exploding(cfg_, ctx):
+    def exploding(cfg_):
         doomed_unlink()
-        return original(cfg_, ctx)
+        return original(cfg_)
 
     pl._STAGE_FUNCS["parallel"] = exploding
     try:
@@ -165,6 +181,98 @@ def test_rerun_stage_from_persisted_inputs(demo_dir, tmp_path):
     run_pipeline(cfg2)
     for rel in ("ingest/el_web.jsonl", "filter/el_web.jsonl", "filter/drop_report.jsonl"):
         assert (tmp_path / "r1" / rel).read_bytes() == (tmp_path / "r2" / rel).read_bytes()
+
+
+def test_every_stage_reruns_alone(demo_dir, demo_run, tmp_path):
+    # Delete one stage's directory from a finished tree and rerun that stage
+    # alone: it reads its inputs from disk and restores the tree byte for byte.
+    _, _, full = demo_run
+    expected = _tree(full)
+    tree = tmp_path / "tree"
+    shutil.copytree(full, tree)
+    cfg = _load(demo_dir)
+    cfg.output_dir = tree
+    for stage in STAGE_NAMES:
+        shutil.rmtree(tree / stage)
+        cfg.stages = [stage]
+        report = run_pipeline(cfg)
+        assert [s.name for s in report.stages] == [stage]
+        assert _tree(tree) == expected, f"rerun of {stage} changed the tree"
+
+
+def test_stages_rerun_after_failed_stage(demo_dir, demo_run, tmp_path, monkeypatch):
+    _, _, full = demo_run
+    cfg = _load(demo_dir)
+    cfg.output_dir = tmp_path / "tree"
+
+    def disk_full(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dedup, "write_cluster_report", disk_full)
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "dedup"
+    assert (cfg.output_dir / "dedup" / "signatures.mhsg.partial").exists()
+    monkeypatch.undo()
+    for stage in STAGE_NAMES[STAGE_NAMES.index("dedup"):]:
+        cfg.stages = [stage]
+        run_pipeline(cfg)
+    assert _tree(cfg.output_dir) == _tree(full)
+
+
+def test_input_path_rule(demo_dir, demo_run):
+    _, _, full = demo_run
+    cfg = _load(demo_dir)
+    cfg.output_dir = full
+    web, pdf = (next(ds for ds in cfg.datasets if ds.name == n) for n in ("el_web", "el_pdf"))
+    cfg.stages = ["dedup"]
+    # Only the datasets the fluency stage scores are read from it.
+    assert _input_path(cfg, "dedup", web) == full / "filter" / "el_web.jsonl"
+    assert _input_path(cfg, "dedup", pdf) == full / "fluency" / "el_pdf.jsonl"
+    cfg.stages = ["stats"]
+    assert _input_path(cfg, "stats", pdf) == full / "dedup" / "el_pdf.jsonl"
+    # Files of skipped stages after this run's first stage are stale: dedup
+    # reads what this run's ingest writes.
+    cfg.stages = ["ingest", "dedup"]
+    assert _input_path(cfg, "dedup", pdf) == full / "ingest" / "el_pdf.jsonl"
+
+
+def test_stale_fluency_file_is_ignored(demo_dir, demo_run, tmp_path):
+    _, _, full = demo_run
+    tree = tmp_path / "tree"
+    shutil.copytree(full, tree)
+    (tree / "fluency" / "el_web.jsonl").write_text("not a document\n")  # el_web is unscored
+    cfg = _load(demo_dir)
+    cfg.output_dir = tree
+    cfg.stages = ["dedup"]
+    run_pipeline(cfg)
+    assert _tree(tree / "dedup") == _tree(full / "dedup")
+
+
+def test_vocab_stages_need_tokenizer_output(demo_dir, demo_run, tmp_path):
+    _, _, full = demo_run
+    cfg = _load(demo_dir)
+    cfg.stages = ["embedding", "stats"]
+    cfg.output_dir = tmp_path / "empty"
+    errors = _errors(cfg)
+    assert any(m.startswith("embedding stage requires the tokenizer stage or "
+                            "base_vocab.json, extended_vocab.json") for m in errors)
+    assert any(m.startswith("stats stage requires the tokenizer stage or "
+                            "extended_vocab.json") for m in errors)
+    cfg.output_dir = full
+    assert _errors(cfg) == []
+
+
+def test_document_stage_without_input_is_error(demo_dir, tmp_path):
+    cfg = _load(demo_dir)
+    cfg.stages = ["dedup"]
+    cfg.output_dir = tmp_path / "empty"
+    assert any(m.startswith("dedup stage has no input for dataset 'el_web'")
+               for m in _errors(cfg))
+    with pytest.raises(ConfigValidationError):
+        run_pipeline(cfg)
+    cfg.stages = ["ingest", "dedup"]
+    assert _errors(cfg) == []
 
 
 # CLI ---------------------------------------------------------------------------
@@ -269,6 +377,23 @@ def test_cli_dedup_run(tmp_path, demo_dir, capsys):
     assert rc == 0
     assert (out_dir / "signatures.mhsg").exists()
     assert (out_dir / "survivors.jsonl").exists()
+
+
+def test_cli_dedup_intra_keeps_repeated_id(tmp_path, capsys):
+    # A = {x, y} where y copies x; B = {y} with unique text. B's y survives.
+    from corpus_forge.documents import Document, read_documents, write_documents
+
+    text = "ena dyo tria tessera pente exi epta okto ennia deka"
+    write_documents(tmp_path / "a.jsonl", [Document(id="x", text=text, dataset="a"),
+                                          Document(id="y", text=text, dataset="a")])
+    write_documents(tmp_path / "b.jsonl", [Document(
+        id="y", text="completely different words appear here in this one", dataset="b")])
+    out_dir = tmp_path / "dd"
+    rc = main(["dedup", "run", "--in", f"a={tmp_path / 'a.jsonl'}", f"b={tmp_path / 'b.jsonl'}",
+               "--stage", "intra", "--out", str(out_dir)])
+    assert rc == 0
+    survivors = [(d.dataset, d.id) for d in read_documents(out_dir / "survivors.jsonl")]
+    assert survivors == [("a", "x"), ("b", "y")]
 
 
 def test_cli_align_and_orpo_check(tmp_path, demo_dir, capsys):
