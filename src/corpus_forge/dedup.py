@@ -3,9 +3,10 @@ two-stage (within-dataset, then cross-dataset) duplicate removal."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Sequence
@@ -34,7 +35,7 @@ class DedupConfig:
         if (self.bands is None) != (self.rows is None):
             raise ValueError("bands and rows must be given together")
         if self.bands is not None and self.bands * self.rows > self.num_perm:
-            raise ValueError("bands*rows must not exceed num_perm")
+            raise ValueError(f"bands*rows {self.bands}*{self.rows} exceeds num_perm {self.num_perm}")
 
     def banding(self) -> tuple[int, int]:
         if self.bands is not None:
@@ -57,15 +58,17 @@ class Signature:
 @dataclass
 class DedupReport:
     stage: str  # "intra" | "cross"
-    clusters: list[list[str]]  # ids per duplicate cluster, kept id first
+    clusters: list[list[str]]  # ids per duplicate cluster in ingestion order; the first is kept
     kept: set[str]
-    removed: set[str] = field(default_factory=set)
+    removed: set[str]
+    input: int  # documents seen by the stage, counted by ingestion index
 
     def summary(self) -> dict[str, int]:
+        removed = sum(len(cluster) - 1 for cluster in self.clusters)
         return {
-            "input": len(self.kept) + len(self.removed),
-            "kept": len(self.kept),
-            "removed": len(self.removed),
+            "input": self.input,
+            "kept": self.input - removed,
+            "removed": removed,
             "clusters": len(self.clusters),
         }
 
@@ -188,23 +191,20 @@ class _UnionFind:
         if self.rank[px] == self.rank[py]:
             self.rank[px] += 1
 
-    def groups(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return out
-
 
 def candidate_pairs(
-    matrix: np.ndarray, bands: int, rows: int, active: Sequence[int] | None = None
+    matrix: np.ndarray, bands: int, rows: int, active: Sequence[int] | None = None,
+    all_pairs: bool = False,
 ) -> list[tuple[int, int]]:
-    """All distinct index pairs sharing at least one LSH band bucket.
+    """Index pairs linking the members of each LSH band bucket, per band.
 
-    `active` restricts banding to a subset of rows of the signature matrix
-    (used to exclude empty-shingle sentinel signatures).
+    Each bucket member is paired with the one before it: at most bands*(n-1)
+    pairs, with the connected components of all pairs sharing a bucket.
+    `all_pairs` returns every pair of each bucket instead, for callers that
+    drop pairs. `active` restricts banding to a subset of rows of the
+    signature matrix (used to exclude empty-shingle sentinel signatures).
     """
     indices = range(matrix.shape[0]) if active is None else active
-    seen: set[tuple[int, int]] = set()
     pairs: list[tuple[int, int]] = []
     for band in range(bands):
         lo, hi = band * rows, (band + 1) * rows
@@ -212,14 +212,10 @@ def candidate_pairs(
         for i in indices:
             buckets.setdefault(matrix[i, lo:hi].tobytes(), []).append(i)
         for members in buckets.values():
-            if len(members) < 2:
-                continue
-            for a_pos in range(len(members)):
-                for b_pos in range(a_pos + 1, len(members)):
-                    pair = (members[a_pos], members[b_pos])
-                    if pair not in seen:
-                        seen.add(pair)
-                        pairs.append(pair)
+            if all_pairs:
+                pairs.extend(itertools.combinations(members, 2))
+            else:
+                pairs.extend(zip(members, members[1:]))
     return pairs
 
 
@@ -235,47 +231,51 @@ def _signature_matrix(texts: Sequence[str], cfg: DedupConfig) -> tuple[np.ndarra
 
 
 def _cluster(
-    ids: Sequence[str],
+    members: Sequence[int],
     texts: Sequence[str],
     matrix: np.ndarray,
     empty: Sequence[bool],
     cfg: DedupConfig,
 ) -> list[list[int]]:
-    """Duplicate clusters (index lists, ascending) via LSH bucket union-find."""
+    """Duplicate clusters among `members` (ascending indices into texts,
+    matrix and empty): connected components of the LSH candidate pairs, each
+    pair verified by exact Jaccard if verify_candidates. Clusters are
+    ascending and ordered by their first member."""
     bands, rows = cfg.banding()
-    active = [i for i in range(len(ids)) if not empty[i]]
-    pairs = candidate_pairs(matrix, bands, rows, active)
-    uf = _UnionFind(len(ids))
-    if cfg.verify_candidates:
-        shingle_cache: dict[int, frozenset[str]] = {}
+    active = [i for i in members if not empty[i]]
+    pairs = candidate_pairs(matrix, bands, rows, active, all_pairs=cfg.verify_candidates)
+    uf = _UnionFind(len(matrix))
 
-        def shingles_of(i: int) -> frozenset[str]:
-            cached = shingle_cache.get(i)
-            if cached is None:
-                cached = frozenset(shingle(texts[i], cfg.shingle_n))
-                shingle_cache[i] = cached
-            return cached
+    @lru_cache(maxsize=None)
+    def shingles_of(i: int) -> frozenset[str]:
+        return frozenset(shingle(texts[i], cfg.shingle_n))
 
-        for a, b in sorted(pairs):
-            if exact_jaccard(shingles_of(a), shingles_of(b)) >= cfg.jaccard_threshold:
-                uf.union(a, b)
-    else:
-        for a, b in sorted(pairs):
-            uf.union(a, b)
-    clusters = [sorted(members) for members in uf.groups().values() if len(members) > 1]
-    clusters.sort(key=lambda c: c[0])
-    return clusters
+    for a, b in pairs:
+        if uf.find(a) == uf.find(b):
+            continue
+        if (cfg.verify_candidates
+                and exact_jaccard(shingles_of(a), shingles_of(b)) < cfg.jaccard_threshold):
+            continue
+        uf.union(a, b)
+    groups: dict[int, list[int]] = {}
+    for i in members:
+        groups.setdefault(uf.find(i), []).append(i)
+    return [group for group in groups.values() if len(group) > 1]
 
 
-def _report_from_clusters(stage: str, ids: Sequence[str], clusters: list[list[int]]) -> DedupReport:
-    removed: set[str] = set()
-    cluster_ids: list[list[str]] = []
-    for members in clusters:
-        cluster_ids.append([ids[i] for i in members])
-        removed.update(ids[i] for i in members[1:])  # lowest ingestion index kept
-    kept = {i for i in ids} - removed
-    report = DedupReport(stage=stage, clusters=cluster_ids, kept=kept, removed=removed)
-    report.validate(ids)
+def _report_from_clusters(
+    stage: str, ids: Sequence[str], members: Sequence[int], clusters: list[list[int]]
+) -> DedupReport:
+    """Report of a stage that saw `members` (ingestion indices into ids)."""
+    removed = {ids[i] for cluster in clusters for i in cluster[1:]}  # lowest index kept
+    report = DedupReport(
+        stage=stage,
+        clusters=[[ids[i] for i in cluster] for cluster in clusters],
+        kept={ids[i] for i in members} - removed,
+        removed=removed,
+        input=len(members),
+    )
+    report.validate([ids[i] for i in members])
     return report
 
 
@@ -320,30 +320,22 @@ def dedup_corpus(
     texts = [d.text for d in docs]
     matrix, empty = _signature_matrix(texts, cfg)
 
-    intra_clusters: list[list[int]] = []
-    for name, start, stop in dataset_slices:
-        if name in skip or stop == start:
-            continue
-        local = _cluster(
-            ids[start:stop], texts[start:stop], matrix[start:stop], empty[start:stop], cfg
-        )
-        intra_clusters.extend([[i + start for i in members] for members in local])
-    intra_clusters.sort(key=lambda c: c[0])
-    intra_report = _report_from_clusters("intra", ids, intra_clusters)
-
+    intra_clusters = [
+        cluster
+        for name, start, stop in dataset_slices
+        if name not in skip
+        for cluster in _cluster(range(start, stop), texts, matrix, empty, cfg)
+    ]
     intra_removed = _dropped(intra_clusters)
     survivors = [i for i in range(len(docs)) if i not in intra_removed]
-    surv_ids = [ids[i] for i in survivors]
-    surv_texts = [texts[i] for i in survivors]
-    surv_matrix = matrix[survivors]
-    surv_empty = [empty[i] for i in survivors]
-    cross_clusters = _cluster(surv_ids, surv_texts, surv_matrix, surv_empty, cfg)
-    cross_report = _report_from_clusters("cross", surv_ids, cross_clusters)
-
+    cross_clusters = _cluster(survivors, texts, matrix, empty, cfg)
     cross_removed = _dropped(cross_clusters)
     return DedupResult(
-        reports={"intra": intra_report, "cross": cross_report},
-        survivors=[docs[i] for pos, i in enumerate(survivors) if pos not in cross_removed],
+        reports={
+            "intra": _report_from_clusters("intra", ids, range(len(ids)), intra_clusters),
+            "cross": _report_from_clusters("cross", ids, survivors, cross_clusters),
+        },
+        survivors=[docs[i] for i in survivors if i not in cross_removed],
         intra_survivors=[docs[i] for i in survivors],
         ids=ids,
         matrix=matrix,
@@ -364,14 +356,14 @@ def write_dedup_outputs(
 
 
 def write_cluster_report(path: str | Path, report: DedupReport) -> int:
-    """One JSONL line per duplicate cluster: {stage, cluster, kept}."""
+    """One JSONL line per duplicate cluster: {stage, cluster, kept}, where
+    kept is the cluster's first (lowest-index) member."""
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for cluster in report.clusters:
-            kept = next(i for i in cluster if i in report.kept)
             handle.write(
                 json.dumps(
-                    {"stage": report.stage, "cluster": cluster, "kept": kept},
+                    {"stage": report.stage, "cluster": cluster, "kept": cluster[0]},
                     ensure_ascii=False,
                     separators=(",", ":"),
                 )
@@ -402,7 +394,7 @@ def write_signatures(
 def read_signatures(path: str | Path) -> tuple[list[str], np.ndarray, int]:
     """Returns (ids, matrix, seed)."""
     data = Path(path).read_bytes()
-    if data[:4] != SIG_MAGIC:
+    if len(data) < 16 or data[:4] != SIG_MAGIC:
         raise ValueError(f"{path}: not a signature cache file")
     num_perm, seed = struct.unpack_from("<IQ", data, 4)
     pos = 4 + 12
@@ -410,12 +402,14 @@ def read_signatures(path: str | Path) -> tuple[list[str], np.ndarray, int]:
     rows: list[np.ndarray] = []
     row_bytes = 8 * num_perm
     while pos < len(data):
+        if pos + 4 > len(data):
+            raise ValueError(f"{path}: truncated id length")
         (id_len,) = struct.unpack_from("<I", data, pos)
         pos += 4
+        if pos + id_len + row_bytes > len(data):
+            raise ValueError(f"{path}: truncated signature record")
         ids.append(data[pos : pos + id_len].decode("utf-8"))
         pos += id_len
-        if pos + row_bytes > len(data):
-            raise ValueError(f"{path}: truncated signature row")
         rows.append(np.frombuffer(data, dtype="<u8", count=num_perm, offset=pos).copy())
         pos += row_bytes
     matrix = np.vstack(rows) if rows else np.empty((0, num_perm), dtype=np.uint64)

@@ -234,10 +234,6 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
         except (ValueError, OSError) as exc:
             error(f"filters: {exc}")
 
-    d = cfg.dedup
-    bands, rows, num_perm = d.get("bands"), d.get("rows"), int(d.get("num_perm", 128))
-    if bands is not None and rows is not None and bands * rows > num_perm:
-        error(f"dedup banding invalid: {bands}*{rows} > num_perm {num_perm}")
     try:
         cfg.dedup_config()
     except ValueError as exc:

@@ -1,9 +1,15 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from helpers import build_cluster_corpus, oracle_clusters
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_forge.dedup import (
     DedupConfig,
+    _cluster,
+    candidate_pairs,
     collision_probability,
     dedup_corpus,
     estimate_jaccard,
@@ -256,6 +262,74 @@ def test_removing_unrelated_doc_keeps_other_clusters():
     assert full_other == reduced_other
 
 
+def _bucket_graph_clusters(matrix, bands, rows, members, texts, threshold):
+    """Scalar oracle: connected components (by BFS) of the graph joining every
+    two nonempty members that agree on all rows of some band, and, when
+    threshold is given, have exact word-set Jaccard >= threshold."""
+    words = {i: set(texts[i].split()) for i in members}
+    adjacency = {i: [] for i in members}
+    for x, a in enumerate(members):
+        for b in members[x + 1 :]:
+            if not words[a] or not words[b]:
+                continue
+            shared = any(
+                all(matrix[a][band * rows + r] == matrix[b][band * rows + r] for r in range(rows))
+                for band in range(bands)
+            )
+            union = len(words[a] | words[b])
+            if shared and (threshold is None or len(words[a] & words[b]) / union >= threshold):
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+    seen, clusters = set(), []
+    for start in members:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = [], deque([start])
+        while queue:
+            node = queue.popleft()
+            component.append(node)
+            for nxt in adjacency[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        if len(component) > 1:
+            clusters.append(sorted(component))
+    return clusters
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_clusters_match_all_pairs_bucket_oracle(verify, data):
+    bands, rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(0, 14))
+    cells = st.lists(st.integers(0, 2), min_size=bands * rows, max_size=bands * rows)
+    matrix = data.draw(st.lists(cells, min_size=n, max_size=n))
+    texts = data.draw(st.lists(
+        st.lists(st.sampled_from("abcd"), max_size=4).map(" ".join), min_size=n, max_size=n))
+    members = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)))) if n else [])
+    cfg = DedupConfig(shingle_n=1, num_perm=bands * rows, jaccard_threshold=0.5,
+                      bands=bands, rows=rows, verify_candidates=verify)
+    array = np.array(matrix, dtype=np.uint64).reshape(n, bands * rows)
+    empty = [not text.split() for text in texts]
+    got = _cluster(members, texts, array, empty, cfg)
+    threshold = cfg.jaccard_threshold if verify else None
+    assert got == _bucket_graph_clusters(matrix, bands, rows, members, texts, threshold)
+
+
+def test_template_family_pairs_grow_linearly():
+    # 400 near-copies of one template share whole buckets; chaining bucket
+    # members keeps the candidate pairs within bands*(n-1).
+    template = " ".join(f"tpl{i}" for i in range(100))
+    docs = _docs([f"{template} own{i}" for i in range(400)])
+    cfg = DedupConfig(seed=6)
+    result = dedup_corpus([("x", docs)], cfg)
+    bands, rows = cfg.banding()
+    assert len(candidate_pairs(result.matrix, bands, rows)) <= bands * 399
+    assert [d.id for d in result.survivors] == ["d0"]
+
+
 def test_signature_cache_roundtrip(tmp_path):
     cfg = DedupConfig(num_perm=32, seed=13)
     docs = _docs(["μία πρόταση εδώ", "another sentence there", ""])
@@ -270,6 +344,21 @@ def test_signature_cache_roundtrip(tmp_path):
     bad.write_bytes(b"BAD!")
     with pytest.raises(ValueError):
         read_signatures(bad)
+
+
+def test_truncated_signature_cache_rejected(tmp_path):
+    cfg = DedupConfig(num_perm=4, seed=1)
+    path = tmp_path / "sigs.mhsg"
+    write_signatures(path, ["a", "b"], np.arange(8, dtype=np.uint64).reshape(2, 4), cfg)
+    data = path.read_bytes()
+    record = 4 + 1 + 8 * 4
+    assert len(data) == 16 + 2 * record
+    for cut in range(len(data)):
+        if cut in (16, 16 + record):
+            continue  # a whole number of records is a valid file
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            read_signatures(path)
 
 
 def test_cluster_report_jsonl(tmp_path):

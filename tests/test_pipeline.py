@@ -48,6 +48,13 @@ def test_banding_invariant_produces_error(demo_dir):
     assert any("16*9" in i.message for i in issues if i.level == "error")
 
 
+def test_banding_overflow_is_reported_once(demo_dir):
+    cfg = _load(demo_dir)
+    cfg.dedup.update(bands=20, rows=13, num_perm=128)
+    errors = [i.message for i in validate_config(cfg) if i.level == "error"]
+    assert len(errors) == 1 and "20*13" in errors[0]
+
+
 def test_missing_bad_words_file_is_error(demo_dir):
     cfg = _load(demo_dir)
     cfg.filters["bad_words_path"] = demo_dir / "missing.txt"
@@ -394,6 +401,8 @@ def test_cli_dedup_intra_keeps_repeated_id(tmp_path, capsys):
     assert rc == 0
     survivors = [(d.dataset, d.id) for d in read_documents(out_dir / "survivors.jsonl")]
     assert survivors == [("a", "x"), ("b", "y")]
+    # Counts are by document, not by distinct id.
+    assert "intra: input=3 removed=1 clusters=1" in capsys.readouterr().out
 
 
 def test_cli_align_and_orpo_check(tmp_path, demo_dir, capsys):
