@@ -115,10 +115,20 @@ DROP_SCRIPT = "script_mismatch"
 DROP_IDENTICAL = "identical_responses"
 
 
+@dataclass(frozen=True)
+class AlignmentConfig:
+    """The `alignment` config section: input files and curation thresholds."""
+
+    preferences_path: Path | None = None
+    system_messages_path: Path | None = None
+    min_rating: float = 0.0
+    max_foreign_ratio: float = 0.05
+
+
 def curate_preferences(
     examples: Iterable[PreferenceExample],
-    min_rating: float = 0.0,
-    max_foreign_ratio: float = 0.05,
+    min_rating: float = AlignmentConfig.min_rating,
+    max_foreign_ratio: float = AlignmentConfig.max_foreign_ratio,
 ) -> tuple[list[PreferenceExample], dict]:
     """Drop ties, low/misordered ratings, off-repertoire responses, and
     cross-script pairs; normalize formatting on everything kept."""

@@ -214,6 +214,23 @@ class ExtendedVocab:
         return unmap_to_bytes(mapped).decode("utf-8", errors="replace")
 
 
+@dataclass(frozen=True)
+class TokenizerConfig:
+    """The `tokenizer` config section; a document limit of None reads every document."""
+
+    base_vocab_path: Path | None = None
+    base_dataset: str | None = None
+    base_target_tokens: int = 2000
+    new_target_tokens: int = 2000
+    max_train_docs: int | None = None
+    fertility_sample_docs: int | None = 2000
+
+    def __post_init__(self) -> None:
+        for name in ("max_train_docs", "fertility_sample_docs"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive or null")
+
+
 def train_bpe(
     corpus: Iterable[Document], target_new_tokens: int, seed: int = 0
 ) -> Vocab:

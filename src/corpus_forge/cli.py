@@ -6,19 +6,15 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import alignment as align_mod
 from . import bpe, dedup, embeddings, fluency, parallel, schedule, synth
+from .config import ConfigValidationError, config_keys, load_section
 from .documents import Extraction, canonicalize, corpus_stats, read_documents, write_documents
-from .filters import FilterConfig, filter_documents, read_wordlist, write_drop_report
-from .pipeline import (
-    ConfigValidationError,
-    PipelineConfig,
-    StageError,
-    run_pipeline,
-    validate_config,
-)
+from .filters import FilterConfig, filter_documents, write_drop_report
+from .pipeline import PipelineConfig, StageError, run_pipeline, validate_config
 
 log = logging.getLogger("corpus_forge")
 
@@ -43,6 +39,13 @@ def _seed(args) -> int:
     return 0 if args.seed is None else args.seed
 
 
+def _section(cls, args):
+    """Section `cls` from the flags given, whose dests are its field names."""
+    keys = config_keys(cls)
+    given = {k: v for k, v in vars(args).items() if k in keys}
+    return load_section(cls, given, args.command, Path.cwd())
+
+
 def _cmd_ingest(args) -> int:
     out = _require(args, "out", "--out")
     extraction = Extraction(args.extraction) if args.extraction else None
@@ -52,21 +55,9 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _filter_config_from_args(args) -> FilterConfig:
-    return FilterConfig(
-        min_chars=args.min_chars,
-        min_words=args.min_words,
-        max_word_len=args.max_word_len,
-        bad_word_threshold=args.bad_word_threshold,
-        bad_words=tuple(read_wordlist(args.bad_words)) if args.bad_words else (),
-        url_blacklist=frozenset(read_wordlist(args.url_blacklist)) if args.url_blacklist else frozenset(),
-        fluency_threshold=args.fluency_threshold,
-    )
-
-
 def _cmd_filter(args) -> int:
     out = _require(args, "out", "--out")
-    cfg = _filter_config_from_args(args)
+    cfg = _section(FilterConfig, args).with_wordlists()
     lm = fluency.read_model(args.fluency_model) if args.fluency_model else None
     dropped = []
     kept_n = write_documents(out, filter_documents(_read_many(args.inputs), cfg, dropped, lm))
@@ -78,12 +69,9 @@ def _cmd_filter(args) -> int:
 
 def _cmd_fluency_train(args) -> int:
     out = _require(args, "out", "--out")
-    lm = fluency.train_ngram_lm(
-        _read_many(args.inputs),
-        order=args.order,
-        holdout_fraction=args.holdout,
-        seed=_seed(args),
-    )
+    cfg = _section(fluency.FluencyConfig, args)
+    lm = fluency.train_ngram_lm(_read_many(args.inputs), order=cfg.order,
+                                holdout_fraction=cfg.holdout_fraction, seed=_seed(args))
     fluency.write_model(lm, out)
     print(f"trained order-{lm.order} model, h_ref={lm.h_ref:.4f} nats/char -> {out}")
     return EXIT_OK
@@ -113,13 +101,7 @@ def _parse_dataset_args(entries: list[str]) -> list[tuple[str, Path]]:
 def _cmd_dedup_run(args) -> int:
     out = _require(args, "out", "--out")
     specs = _parse_dataset_args(args.inputs)
-    cfg = dedup.DedupConfig(
-        shingle_n=args.shingle_n,
-        num_perm=args.num_perm,
-        jaccard_threshold=args.threshold,
-        seed=_seed(args),
-        verify_candidates=args.verify,
-    )
+    cfg = replace(_section(dedup.DedupConfig, args), seed=_seed(args))
     skip = set(args.skip_intra or [])
     if args.stage == "cross":
         skip = {name for name, _ in specs}
@@ -148,11 +130,7 @@ def _cmd_parallel_dedup(args) -> int:
 
 def _cmd_parallel_filter(args) -> int:
     out = _require(args, "out", "--out")
-    cfg = parallel.ParallelFilterConfig(
-        margin_threshold=args.margin_threshold,
-        classifier_threshold=args.classifier_threshold,
-        require_scores=args.require_scores,
-    )
+    cfg = _section(parallel.ParallelFilterConfig, args)
     pairs = list(parallel.read_pairs(args.inp))
     kept = parallel.threshold_filter(pairs, cfg)
     parallel.write_pairs(out, kept)
@@ -217,10 +195,11 @@ def _cmd_embed_init(args) -> int:
 
 def _cmd_embed_pad(args) -> int:
     out = _require(args, "out", "--out")
+    multiple = _section(embeddings.EmbeddingConfig, args).pad_multiple
     matrix = embeddings.read_matrix(args.inp)
-    padded = embeddings.pad_to_multiple(matrix, args.multiple)
+    padded = embeddings.pad_to_multiple(matrix, multiple)
     embeddings.write_matrix(padded, out)
-    print(f"{matrix.rows} -> {padded.rows} rows (multiple of {args.multiple}) -> {out}")
+    print(f"{matrix.rows} -> {padded.rows} rows (multiple of {multiple}) -> {out}")
     return EXIT_OK
 
 
@@ -255,9 +234,10 @@ def _cmd_plan_export(args) -> int:
 
 def _cmd_align_curate(args) -> int:
     out = _require(args, "out", "--out")
+    cfg = _section(align_mod.AlignmentConfig, args)
     examples = align_mod.read_preferences(args.inp)
     kept, report = align_mod.curate_preferences(
-        examples, min_rating=args.min_rating, max_foreign_ratio=args.max_foreign_ratio
+        examples, min_rating=cfg.min_rating, max_foreign_ratio=cfg.max_foreign_ratio
     )
     if args.system_messages:
         pool = align_mod.load_system_messages(args.system_messages)
@@ -306,13 +286,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = PipelineConfig.load(_require(args, "config", "--config"))
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
+    overrides = {k: getattr(args, k) for k in ("seed", "threads")
+                 if getattr(args, k, None) is not None}
     if getattr(args, "out", None) is not None:
-        cfg.output_dir = Path(args.out).resolve()
+        overrides["output_dir"] = str(Path(args.out).resolve())
+    cfg = PipelineConfig.load(_require(args, "config", "--config"), overrides)
     if args.validate_only:
         issues = validate_config(cfg)
         for issue in issues:
@@ -350,27 +328,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("filter", help="apply quality filters")
+    # A flag that sets a config field stays unset unless given: see _section.
+    no_default = {"argument_default": argparse.SUPPRESS}
+    p = sub.add_parser("filter", help="apply quality filters", **no_default)
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
-    p.add_argument("--out", default=argparse.SUPPRESS)
+    p.add_argument("--out")
     p.add_argument("--report", default=None)
-    p.add_argument("--min-chars", type=int, default=300)
-    p.add_argument("--min-words", type=int, default=6)
-    p.add_argument("--max-word-len", type=int, default=60)
-    p.add_argument("--bad-word-threshold", type=int, default=2)
-    p.add_argument("--bad-words", default=None)
-    p.add_argument("--url-blacklist", default=None)
+    p.add_argument("--min-chars", type=int)
+    p.add_argument("--min-words", type=int)
+    p.add_argument("--max-word-len", type=int)
+    p.add_argument("--bad-word-threshold", type=int)
+    p.add_argument("--bad-words", dest="bad_words_path")
+    p.add_argument("--url-blacklist", dest="url_blacklist_path")
     p.add_argument("--fluency-model", default=None)
-    p.add_argument("--fluency-threshold", type=float, default=0.7)
+    p.add_argument("--fluency-threshold", type=float)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("fluency", help="fluency model training and scoring")
     fsub = p.add_subparsers(dest="subcommand", required=True)
-    pt = fsub.add_parser("train")
+    pt = fsub.add_parser("train", **no_default)
     pt.add_argument("--in", dest="inputs", nargs="+", required=True)
-    pt.add_argument("--out", default=argparse.SUPPRESS)
-    pt.add_argument("--order", type=int, default=7)
-    pt.add_argument("--holdout", type=float, default=0.1)
+    pt.add_argument("--out")
+    pt.add_argument("--order", type=int)
+    pt.add_argument("--holdout", dest="holdout_fraction", type=float)
     pt.set_defaults(func=_cmd_fluency_train)
     ps = fsub.add_parser("score")
     ps.add_argument("--model", required=True)
@@ -381,15 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dedup", help="MinHashLSH near-deduplication")
     dsub = p.add_subparsers(dest="subcommand", required=True)
-    pr = dsub.add_parser("run")
+    pr = dsub.add_parser("run", **no_default)
     pr.add_argument("--in", dest="inputs", nargs="+", required=True,
                     metavar="NAME=PATH")
     pr.add_argument("--stage", choices=["intra", "cross", "both"], default="both")
-    pr.add_argument("--out", default=argparse.SUPPRESS)
-    pr.add_argument("--shingle-n", type=int, default=5)
-    pr.add_argument("--num-perm", type=int, default=128)
-    pr.add_argument("--threshold", type=float, default=0.8)
-    pr.add_argument("--verify", action="store_true")
+    pr.add_argument("--out")
+    pr.add_argument("--shingle-n", type=int)
+    pr.add_argument("--num-perm", type=int)
+    pr.add_argument("--threshold", dest="jaccard_threshold", type=float)
+    pr.add_argument("--verify", dest="verify_candidates", action="store_true")
     pr.add_argument("--skip-intra", nargs="*", default=None,
                     help="dataset names to exempt from stage 1")
     pr.set_defaults(func=_cmd_dedup_run)
@@ -400,11 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--in", dest="inp", required=True)
     pd.add_argument("--out", default=argparse.SUPPRESS)
     pd.set_defaults(func=_cmd_parallel_dedup)
-    pf = psub.add_parser("filter")
+    pf = psub.add_parser("filter", **no_default)
     pf.add_argument("--in", dest="inp", required=True)
-    pf.add_argument("--out", default=argparse.SUPPRESS)
-    pf.add_argument("--margin-threshold", type=float, default=1.06)
-    pf.add_argument("--classifier-threshold", type=float, default=0.7)
+    pf.add_argument("--out")
+    pf.add_argument("--margin-threshold", type=float)
+    pf.add_argument("--classifier-threshold", type=float)
     pf.add_argument("--require-scores", action="store_true")
     pf.set_defaults(func=_cmd_parallel_filter)
 
@@ -438,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     ei.add_argument("--ext-vocab", required=True)
     ei.add_argument("--out", default=argparse.SUPPRESS)
     ei.set_defaults(func=_cmd_embed_init)
-    ep = esub.add_parser("pad")
+    ep = esub.add_parser("pad", **no_default)
     ep.add_argument("--in", dest="inp", required=True)
-    ep.add_argument("--out", default=argparse.SUPPRESS)
-    ep.add_argument("--multiple", type=int, default=8)
+    ep.add_argument("--out")
+    ep.add_argument("--multiple", dest="pad_multiple", type=int)
     ep.set_defaults(func=_cmd_embed_pad)
     en = esub.add_parser("info")
     en.add_argument("--in", dest="inp", required=True)
@@ -459,11 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("align", help="preference data preparation")
     asub = p.add_subparsers(dest="subcommand", required=True)
-    ac = asub.add_parser("curate")
+    ac = asub.add_parser("curate", **no_default)
     ac.add_argument("--in", dest="inp", required=True)
-    ac.add_argument("--out", default=argparse.SUPPRESS)
-    ac.add_argument("--min-rating", type=float, default=0.0)
-    ac.add_argument("--max-foreign-ratio", type=float, default=0.05)
+    ac.add_argument("--out")
+    ac.add_argument("--min-rating", type=float)
+    ac.add_argument("--max-foreign-ratio", type=float)
     ac.add_argument("--system-messages", default=None)
     ac.set_defaults(func=_cmd_align_curate)
     ar = asub.add_parser("render")

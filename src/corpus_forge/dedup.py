@@ -6,25 +6,28 @@ from __future__ import annotations
 import itertools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
+from .config import NOT_A_KEY
 from .documents import Document
 from .kernels import U64_MAX, hash_byte_strings, minhash_values
 
 
 @dataclass(frozen=True)
 class DedupConfig:
+    """The `dedup` config section; `seed` is the run's seed, not a key."""
+
     shingle_n: int = 5
     num_perm: int = 128
     jaccard_threshold: float = 0.8
     bands: int | None = None  # None -> chosen by optimal_bands
     rows: int | None = None
-    seed: int = 0
+    seed: int = field(default=0, metadata=NOT_A_KEY)
     verify_candidates: bool = False
 
     def __post_init__(self) -> None:
@@ -58,27 +61,46 @@ class Signature:
 @dataclass
 class DedupReport:
     stage: str  # "intra" | "cross"
-    clusters: list[list[str]]  # ids per duplicate cluster in ingestion order; the first is kept
-    kept: set[str]
-    removed: set[str]
-    input: int  # documents seen by the stage, counted by ingestion index
+    ids: Sequence[str]  # every input id of the run, by ingestion index
+    members: Sequence[int]  # ascending ingestion indices of the documents the stage saw
+    index_clusters: list[list[int]]  # ascending ingestion indices; the first is kept
+
+    @property
+    def clusters(self) -> list[list[str]]:
+        """Ids per duplicate cluster in ingestion order; the first is kept."""
+        return [[self.ids[i] for i in cluster] for cluster in self.index_clusters]
+
+    def removed_indices(self) -> set[int]:
+        """Every member of each cluster but its first (lowest) index."""
+        return {i for cluster in self.index_clusters for i in cluster[1:]}
+
+    @property
+    def kept(self) -> set[str]:
+        removed = self.removed_indices()
+        return {self.ids[i] for i in self.members if i not in removed}
+
+    @property
+    def removed(self) -> set[str]:
+        return {self.ids[i] for i in self.removed_indices()}
 
     def summary(self) -> dict[str, int]:
-        removed = sum(len(cluster) - 1 for cluster in self.clusters)
+        removed = len(self.removed_indices())
         return {
-            "input": self.input,
-            "kept": self.input - removed,
+            "input": len(self.members),
+            "kept": len(self.members) - removed,
             "removed": removed,
-            "clusters": len(self.clusters),
+            "clusters": len(self.index_clusters),
         }
 
     def validate(self, input_ids: Collection[str]) -> None:
-        ids = set(input_ids)
-        if self.kept | self.removed != ids or self.kept & self.removed:
-            raise AssertionError("kept/removed must partition the input ids")
-        for cluster in self.clusters:
-            survivors = [i for i in cluster if i in self.kept]
-            if len(survivors) != 1:
+        """Raise AssertionError unless the stage saw `input_ids` and its kept and
+        removed documents, by ingestion index, partition them, one kept per cluster."""
+        members = set(self.members)
+        removed = self.removed_indices()
+        if {self.ids[i] for i in members} != set(input_ids) or not removed <= members:
+            raise AssertionError("kept/removed must partition the input documents")
+        for cluster in self.index_clusters:
+            if sum(i in members and i not in removed for i in cluster) != 1:
                 raise AssertionError("each cluster must keep exactly one member")
 
 
@@ -263,18 +285,11 @@ def _cluster(
     return [group for group in groups.values() if len(group) > 1]
 
 
-def _report_from_clusters(
+def _report(
     stage: str, ids: Sequence[str], members: Sequence[int], clusters: list[list[int]]
 ) -> DedupReport:
     """Report of a stage that saw `members` (ingestion indices into ids)."""
-    removed = {ids[i] for cluster in clusters for i in cluster[1:]}  # lowest index kept
-    report = DedupReport(
-        stage=stage,
-        clusters=[[ids[i] for i in cluster] for cluster in clusters],
-        kept={ids[i] for i in members} - removed,
-        removed=removed,
-        input=len(members),
-    )
+    report = DedupReport(stage=stage, ids=ids, members=members, index_clusters=clusters)
     report.validate([ids[i] for i in members])
     return report
 
@@ -286,11 +301,6 @@ class DedupResult:
     intra_survivors: list[Document]  # survivors of stage "intra" alone, ingestion order
     ids: list[str]  # all input ids, ingestion order
     matrix: np.ndarray  # signatures of all inputs, one row per id
-
-
-def _dropped(clusters: list[list[int]]) -> set[int]:
-    """Every member of each cluster but its first (lowest) index."""
-    return {i for members in clusters for i in members[1:]}
 
 
 def dedup_corpus(
@@ -326,15 +336,13 @@ def dedup_corpus(
         if name not in skip
         for cluster in _cluster(range(start, stop), texts, matrix, empty, cfg)
     ]
-    intra_removed = _dropped(intra_clusters)
+    intra = _report("intra", ids, range(len(ids)), intra_clusters)
+    intra_removed = intra.removed_indices()
     survivors = [i for i in range(len(docs)) if i not in intra_removed]
-    cross_clusters = _cluster(survivors, texts, matrix, empty, cfg)
-    cross_removed = _dropped(cross_clusters)
+    cross = _report("cross", ids, survivors, _cluster(survivors, texts, matrix, empty, cfg))
+    cross_removed = cross.removed_indices()
     return DedupResult(
-        reports={
-            "intra": _report_from_clusters("intra", ids, range(len(ids)), intra_clusters),
-            "cross": _report_from_clusters("cross", ids, survivors, cross_clusters),
-        },
+        reports={"intra": intra, "cross": cross},
         survivors=[docs[i] for i in survivors if i not in cross_removed],
         intra_survivors=[docs[i] for i in survivors],
         ids=ids,

@@ -27,6 +27,22 @@ class InitError(ValueError):
 
 
 @dataclass(frozen=True)
+class EmbeddingConfig:
+    """The `embedding` config section; without `base_matrix_path` it is synthetic."""
+
+    dims: int = 64
+    base_matrix_path: Path | None = None
+    pad_multiple: int = 8
+    tie_lm_head: bool = False
+
+    def __post_init__(self) -> None:
+        if self.dims < 1:
+            raise ValueError("dims must be positive")
+        if self.pad_multiple < 1:
+            raise ValueError("pad_multiple must be positive")
+
+
+@dataclass(frozen=True)
 class EmbeddingMatrix:
     data: np.ndarray  # float32, shape (rows, dims)
     role: MatrixRole = MatrixRole.INPUT_EMBEDDINGS
@@ -83,7 +99,7 @@ def init_new_embeddings(
     return EmbeddingMatrix(data=out, role=base.role)
 
 
-def pad_to_multiple(matrix: EmbeddingMatrix, multiple: int = 8) -> EmbeddingMatrix:
+def pad_to_multiple(matrix: EmbeddingMatrix, multiple: int) -> EmbeddingMatrix:
     """Round the row count up; padding rows get the column-wise mean of the
     real rows so they stay in-distribution if ever touched by a gradient."""
     if multiple < 1:

@@ -10,21 +10,16 @@ import json
 import logging
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 from urllib.parse import urlsplit
 
+from .config import NOT_A_KEY
 from .documents import Document, Extraction
 
 log = logging.getLogger(__name__)
-
-DEFAULT_MIN_CHARS = 300
-DEFAULT_MIN_WORDS = 6
-DEFAULT_MAX_WORD_LEN = 60
-DEFAULT_BAD_WORD_THRESHOLD = 2
-DEFAULT_FLUENCY_THRESHOLD = 0.7
 
 RULE_MIN_CHARS = "min_chars"
 RULE_MIN_WORDS = "min_words"
@@ -51,19 +46,24 @@ def _norm(text: str) -> str:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    min_chars: int = DEFAULT_MIN_CHARS
-    min_words: int = DEFAULT_MIN_WORDS
-    max_word_len: Optional[int] = DEFAULT_MAX_WORD_LEN
-    bad_word_threshold: int = DEFAULT_BAD_WORD_THRESHOLD
-    bad_words: tuple[str, ...] = ()
-    url_blacklist: frozenset[str] = frozenset()
+    """The `filters` config section; `with_wordlists` reads the word lists."""
+
+    min_chars: int = 300
+    min_words: int = 6
+    max_word_len: Optional[int] = 60
+    bad_word_threshold: int = 2
+    bad_words_path: Optional[Path] = None
+    url_blacklist_path: Optional[Path] = None
     forbidden_substrings: tuple[str, ...] = ("lorem ipsum",)
-    fluency_threshold: float = DEFAULT_FLUENCY_THRESHOLD
+    fluency_threshold: float = 0.7
     fluency_applies_to: frozenset[Extraction] = frozenset({Extraction.PDF})
+    bad_words: tuple[str, ...] = field(default=(), metadata=NOT_A_KEY)
+    url_blacklist: frozenset[str] = field(default=frozenset(), metadata=NOT_A_KEY)
 
     def __post_init__(self) -> None:
-        if self.min_chars < 0 or self.min_words < 0 or self.bad_word_threshold < 0:
-            raise ValueError("thresholds must be nonnegative")
+        for name in ("min_chars", "min_words", "bad_word_threshold"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.max_word_len is not None and self.max_word_len < 0:
             raise ValueError("max_word_len must be nonnegative")
         if not 0.0 <= self.fluency_threshold <= 1.0:
@@ -75,11 +75,13 @@ class FilterConfig:
         object.__setattr__(
             self, "url_blacklist", frozenset(d.lower().strip(".") for d in self.url_blacklist)
         )
-        object.__setattr__(
-            self,
-            "fluency_applies_to",
-            frozenset(Extraction(e) for e in self.fluency_applies_to),
-        )
+
+    def with_wordlists(self) -> "FilterConfig":
+        """This config with `bad_words` and `url_blacklist` read from their paths."""
+        words, urls = self.bad_words_path, self.url_blacklist_path
+        return replace(self, bad_words=tuple(read_wordlist(words)) if words else self.bad_words,
+                       url_blacklist=frozenset(read_wordlist(urls)) if urls else
+                       self.url_blacklist)
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ def url_blacklisted(url: Optional[str], blacklist: Iterable[str]) -> bool:
 _SINGLE_RUN = re.compile(r"(?:^|(?<=\s))[^\W\d_](?: [^\W\d_]){4,}(?=\s|$)")
 
 
-def clean_pdf_artifacts(text: str, max_word_len: int = DEFAULT_MAX_WORD_LEN) -> str:
+def clean_pdf_artifacts(text: str, max_word_len: int = FilterConfig.max_word_len) -> str:
     """Drop lines containing glued words or single-character runs; keep the rest verbatim."""
     kept = []
     for line in text.splitlines():
@@ -164,7 +166,7 @@ def filter_document(doc: Document, cfg: FilterConfig, lm=None) -> Verdict:
     cleaned_text: Optional[str] = None
     text = doc.text
     if doc.extraction is Extraction.PDF:
-        limit = cfg.max_word_len if cfg.max_word_len is not None else DEFAULT_MAX_WORD_LEN
+        limit = cfg.max_word_len if cfg.max_word_len is not None else FilterConfig.max_word_len
         cleaned = clean_pdf_artifacts(text, max_word_len=limit)
         if cleaned != text:
             cleaned_text = cleaned

@@ -16,6 +16,7 @@ import re
 import struct
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -217,10 +218,26 @@ def _count_levels(sequences: Iterable[str], order: int) -> tuple[list[Counter], 
     return levels, vocab, n_chars
 
 
+@dataclass(frozen=True)
+class FluencyConfig:
+    """The `fluency` config section; without `model_path` the stage trains a model."""
+
+    enabled: bool = False
+    model_path: Path | None = None
+    order: int = 7
+    holdout_fraction: float = 0.1
+    train_dataset: str | None = None
+    max_train_chars: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        if not 2 <= self.order <= 8:
+            raise ValueError("order must lie in [2, 8]")
+
+
 def train_ngram_lm(
     corpus: Iterable[Document],
-    order: int = 7,
-    holdout_fraction: float = 0.1,
+    order: int = FluencyConfig.order,
+    holdout_fraction: float = FluencyConfig.holdout_fraction,
     seed: int = 0,
 ) -> NGramLM:
     """Train on blank-line-separated paragraphs, each BOS-padded independently.

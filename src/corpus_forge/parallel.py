@@ -29,6 +29,10 @@ class SentencePair:
 
 @dataclass(frozen=True)
 class ParallelFilterConfig:
+    """The `parallel` config section: pairs file, step order and thresholds."""
+
+    path: Path | None = None
+    order: str = "filter-then-dedup"
     margin_threshold: float = 1.06
     classifier_threshold: float = 0.7
     require_scores: bool = False
@@ -36,6 +40,8 @@ class ParallelFilterConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.margin_threshold) and math.isfinite(self.classifier_threshold)):
             raise ValueError("thresholds must be finite")
+        if self.order not in ("filter-then-dedup", "dedup-then-filter"):
+            raise ValueError(f"order {self.order!r} unknown")
 
 
 def normalize_sentence(text: str) -> str:

@@ -14,12 +14,16 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterator
 
 from . import alignment as align_mod
 from . import bpe, dedup, embeddings, fluency, parallel, schedule
+from .alignment import AlignmentConfig
+from .bpe import TokenizerConfig
+from .config import ConfigValidationError, Issue, load_section
+from .dedup import DedupConfig
 from .documents import (
     Document,
     Extraction,
@@ -28,30 +32,15 @@ from .documents import (
     read_documents,
     write_documents,
 )
-from .filters import FilterConfig, filter_documents, read_wordlist, write_drop_report
+from .embeddings import EmbeddingConfig
+from .filters import FilterConfig, filter_documents, write_drop_report
+from .fluency import FluencyConfig
+from .parallel import ParallelFilterConfig
 
 log = logging.getLogger(__name__)
 
-STAGE_NAMES = (
-    "ingest",
-    "filter",
-    "fluency",
-    "dedup",
-    "parallel",
-    "tokenizer",
-    "embedding",
-    "plan",
-    "alignment",
-    "stats",
-)
 # Stages that write one <dataset>.jsonl per dataset for the stages after them.
 DOC_STAGES = ("ingest", "filter", "fluency", "dedup")
-
-
-class ConfigValidationError(ValueError):
-    def __init__(self, issues: list["Issue"]):
-        self.issues = issues
-        super().__init__("; ".join(i.message for i in issues))
 
 
 class StageError(RuntimeError):
@@ -62,13 +51,9 @@ class StageError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Issue:
-    level: str  # "error" | "warning"
-    message: str
-
-
-@dataclass(frozen=True)
 class DatasetSpec:
+    """One `datasets` entry."""
+
     name: str
     path: Path
     language: str = ""
@@ -76,112 +61,57 @@ class DatasetSpec:
     extraction: Extraction = Extraction.WEB
 
 
+@dataclass(frozen=True)
+class StatsConfig:
+    """The `stats` config section: every `sample_every`-th document is counted."""
+
+    sample_every: int = 1
+
+    def __post_init__(self) -> None:
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be at least 1")
+
+
 @dataclass
 class PipelineConfig:
-    seed: int
-    threads: int
-    output_dir: Path
-    datasets: list[DatasetSpec]
-    filters: dict[str, Any]
-    fluency: dict[str, Any]
-    dedup: dict[str, Any]
-    parallel: dict[str, Any]
-    tokenizer: dict[str, Any]
-    embedding: dict[str, Any]
-    alignment: dict[str, Any]
-    stats: dict[str, Any]
-    stages: list[str]
-    base_dir: Path = field(default_factory=Path.cwd)
+    """A whole config file: top-level keys and one typed section per stage."""
+
+    seed: int = 0
+    threads: int = 1  # accepted and validated; every stage runs on one thread
+    output_dir: Path = Path("out")
+    datasets: list[DatasetSpec] = field(default_factory=list)
+    filters: FilterConfig = field(default_factory=FilterConfig)
+    fluency: FluencyConfig = field(default_factory=FluencyConfig)
+    dedup: DedupConfig = field(default_factory=DedupConfig)
+    parallel: ParallelFilterConfig = field(default_factory=ParallelFilterConfig)
+    tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
+    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
+    alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
+    stats: StatsConfig = field(default_factory=StatsConfig)
+    stages: list[str] = field(default_factory=lambda: list(STAGE_NAMES))
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
+        if len({d.name for d in self.datasets}) != len(self.datasets):
+            raise ValueError("duplicate dataset names")
 
     @classmethod
-    def load(cls, path: str | Path) -> "PipelineConfig":
+    def load(cls, path: str | Path, overrides: dict[str, Any] | None = None) -> "PipelineConfig":
+        """Parse a config file, with `overrides` in place of its top-level
+        keys; raises ConfigValidationError as `load_section` does."""
         path = Path(path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        base = path.parent.resolve()
-
-        def resolve(p):
-            return None if p is None else (base / p if not Path(p).is_absolute() else Path(p))
-
-        datasets = [
-            DatasetSpec(
-                name=d["name"],
-                path=resolve(d["path"]),
-                language=d.get("language", ""),
-                pre_deduplicated=bool(d.get("pre_deduplicated", False)),
-                extraction=Extraction(d.get("extraction", "web")),
-            )
-            for d in payload.get("datasets", [])
-        ]
-        sections = {}
-        for key in ("filters", "fluency", "dedup", "parallel", "tokenizer",
-                    "embedding", "alignment", "stats"):
-            sections[key] = dict(payload.get(key, {}))
-        for section, keys in (
-            ("filters", ("bad_words_path", "url_blacklist_path")),
-            ("fluency", ("model_path",)),
-            ("parallel", ("path",)),
-            ("tokenizer", ("base_vocab_path",)),
-            ("embedding", ("base_matrix_path",)),
-            ("alignment", ("preferences_path", "system_messages_path")),
-        ):
-            for key in keys:
-                if sections[section].get(key) is not None:
-                    sections[section][key] = resolve(sections[section][key])
-        return cls(
-            seed=int(payload.get("seed", 0)),
-            threads=int(payload.get("threads", 1)),
-            output_dir=resolve(payload.get("output_dir", "out")),
-            datasets=datasets,
-            stages=list(payload.get("stages", list(STAGE_NAMES))),
-            base_dir=base,
-            **sections,
-        )
-
-    def filter_config(self) -> FilterConfig:
-        f = self.filters
-        bad_words: tuple[str, ...] = ()
-        if f.get("bad_words_path"):
-            bad_words = tuple(read_wordlist(f["bad_words_path"]))
-        blacklist: frozenset[str] = frozenset()
-        if f.get("url_blacklist_path"):
-            blacklist = frozenset(read_wordlist(f["url_blacklist_path"]))
-        return FilterConfig(
-            min_chars=int(f.get("min_chars", 300)),
-            min_words=int(f.get("min_words", 6)),
-            max_word_len=f.get("max_word_len", 60),
-            bad_word_threshold=int(f.get("bad_word_threshold", 2)),
-            bad_words=bad_words,
-            url_blacklist=blacklist,
-            forbidden_substrings=tuple(f.get("forbidden_substrings", ["lorem ipsum"])),
-            fluency_threshold=float(f.get("fluency_threshold", 0.7)),
-            fluency_applies_to=frozenset(
-                Extraction(e) for e in f.get("fluency_applies_to", ["pdf"])
-            ),
-        )
-
-    def dedup_config(self) -> dedup.DedupConfig:
-        d = self.dedup
-        return dedup.DedupConfig(
-            shingle_n=int(d.get("shingle_n", 5)),
-            num_perm=int(d.get("num_perm", 128)),
-            jaccard_threshold=float(d.get("jaccard_threshold", 0.8)),
-            bands=d.get("bands"),
-            rows=d.get("rows"),
-            seed=self.seed,
-            verify_candidates=bool(d.get("verify_candidates", False)),
-        )
-
-    def parallel_config(self) -> parallel.ParallelFilterConfig:
-        p = self.parallel
-        return parallel.ParallelFilterConfig(
-            margin_threshold=float(p.get("margin_threshold", 1.06)),
-            classifier_threshold=float(p.get("classifier_threshold", 0.7)),
-            require_scores=bool(p.get("require_scores", False)),
-        )
+        if isinstance(payload, dict):
+            payload.update(overrides or {})
+        return load_section(cls, payload, "", path.parent.resolve())
 
 
 def validate_config(cfg: PipelineConfig) -> list[Issue]:
-    """Structural and cross-field checks; error-level issues block execution."""
+    """Cross-section and filesystem checks; error-level issues block
+    execution. Each section checks its own values when it is built."""
     issues: list[Issue] = []
 
     def error(msg: str) -> None:
@@ -194,21 +124,15 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
     for name in cfg.stages:
         if name not in STAGE_NAMES:
             error(f"unknown stage {name!r}")
-    if cfg.seed < 0:
-        error("seed must be nonnegative")
-    if cfg.threads < 1:
-        error("threads must be at least 1")
     if not cfg.datasets and stages & {"ingest", "filter", "fluency", "dedup",
                                       "tokenizer", "stats"}:
         error("empty input dataset list")
     names = [d.name for d in cfg.datasets]
-    if len(set(names)) != len(names):
-        error("duplicate dataset names")
     for ds in cfg.datasets:
         if "ingest" in stages and not ds.path.exists():
             error(f"dataset {ds.name!r}: missing file {ds.path}")
     readers = {"filter", "dedup", "tokenizer", "stats"}
-    if cfg.fluency.get("enabled", False):
+    if cfg.fluency.enabled:
         readers.add("fluency")
     for stage in [s for s in STAGE_NAMES if s in stages & readers]:
         for ds in cfg.datasets:
@@ -217,39 +141,25 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
                       f"document stage runs or left {ds.name}.jsonl under {cfg.output_dir}")
 
     f = cfg.filters
-    wordlists_ok = True
-    if int(f.get("bad_word_threshold", 2)) > 0:
-        path = f.get("bad_words_path")
-        if path is None:
-            warning("bad-word rule enabled but no bad_words_path given; rule is inert")
-        elif not Path(path).exists():
-            error(f"bad-word rule enabled but list file missing: {path}")
-            wordlists_ok = False
-    if f.get("url_blacklist_path") is not None and not Path(f["url_blacklist_path"]).exists():
-        error(f"url blacklist file missing: {f['url_blacklist_path']}")
-        wordlists_ok = False
-    if wordlists_ok:
+    if f.bad_word_threshold > 0 and f.bad_words_path is None:
+        warning("bad-word rule enabled but no bad_words_path given; rule is inert")
+    missing = [p for p in (f.bad_words_path, f.url_blacklist_path) if p and not p.exists()]
+    for path in missing:
+        error(f"filters: word list file missing: {path}")
+    if not missing:
         try:
-            cfg.filter_config()
+            f.with_wordlists()
         except (ValueError, OSError) as exc:
             error(f"filters: {exc}")
 
-    try:
-        cfg.dedup_config()
-    except ValueError as exc:
-        error(f"dedup: {exc}")
-
     fl = cfg.fluency
-    fluency_kinds = set(f.get("fluency_applies_to", ["pdf"]))
-    if fl.get("enabled", False) and "fluency" in stages:
-        if fl.get("model_path") is not None:
-            if not Path(fl["model_path"]).exists():
-                error(f"fluency model file missing: {fl['model_path']}")
-        else:
-            train_ds = fl.get("train_dataset")
-            if train_ds not in names:
-                error(f"fluency training dataset {train_ds!r} is not a configured dataset")
-    elif fluency_kinds and "filter" in stages and not fl.get("enabled", False):
+    if fl.enabled and "fluency" in stages:
+        if fl.model_path is not None:
+            if not fl.model_path.exists():
+                error(f"fluency model file missing: {fl.model_path}")
+        elif fl.train_dataset not in names:
+            error(f"fluency training dataset {fl.train_dataset!r} is not a configured dataset")
+    elif f.fluency_applies_to and "filter" in stages and not fl.enabled:
         warning(
             "fluency rule applies to some extraction kinds but the fluency stage is "
             "disabled; only precomputed scores will be honored"
@@ -257,11 +167,11 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
 
     t = cfg.tokenizer
     if "tokenizer" in stages:
-        if t.get("base_vocab_path") is not None:
-            if not Path(t["base_vocab_path"]).exists():
-                error(f"base vocabulary file missing: {t['base_vocab_path']}")
-        elif t.get("base_dataset") not in names:
-            error(f"tokenizer base_dataset {t.get('base_dataset')!r} is not configured")
+        if t.base_vocab_path is not None:
+            if not t.base_vocab_path.exists():
+                error(f"base vocabulary file missing: {t.base_vocab_path}")
+        elif t.base_dataset not in names:
+            error(f"tokenizer base_dataset {t.base_dataset!r} is not configured")
     for name, vocabs in (("embedding", ("base_vocab.json", "extended_vocab.json")),
                          ("stats", ("extended_vocab.json",))):
         if name in stages and "tokenizer" not in stages:
@@ -270,33 +180,17 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
                 error(f"{name} stage requires the tokenizer stage or "
                       f"{', '.join(missing)} under {cfg.output_dir / 'tokenizer'}")
     e = cfg.embedding
-    if e.get("base_matrix_path") is not None and not Path(e["base_matrix_path"]).exists():
-        error(f"embedding base matrix missing: {e['base_matrix_path']}")
-    if int(e.get("pad_multiple", 8)) < 1:
-        error("embedding pad_multiple must be positive")
-    if int(e.get("dims", 64)) < 1:
-        error("embedding dims must be positive")
+    if e.base_matrix_path is not None and not e.base_matrix_path.exists():
+        error(f"embedding base matrix missing: {e.base_matrix_path}")
 
     a = cfg.alignment
     if "alignment" in stages:
-        if a.get("preferences_path") is None or not Path(a["preferences_path"]).exists():
-            error(f"preference data file missing: {a.get('preferences_path')}")
-        if a.get("system_messages_path") is None or not Path(a["system_messages_path"]).exists():
-            error(f"system messages file missing: {a.get('system_messages_path')}")
-    if "parallel" in stages:
-        if cfg.parallel.get("path") is None or not Path(cfg.parallel["path"]).exists():
-            error(f"parallel pairs file missing: {cfg.parallel.get('path')}")
-        try:
-            cfg.parallel_config()
-        except ValueError as exc:
-            error(f"parallel: {exc}")
-        if cfg.parallel.get("order", "filter-then-dedup") not in (
-            "filter-then-dedup",
-            "dedup-then-filter",
-        ):
-            error(f"parallel order {cfg.parallel.get('order')!r} unknown")
-    if "stats" in stages and int(cfg.stats.get("sample_every", 1)) < 1:
-        error("stats sample_every must be at least 1")
+        if a.preferences_path is None or not a.preferences_path.exists():
+            error(f"preference data file missing: {a.preferences_path}")
+        if a.system_messages_path is None or not a.system_messages_path.exists():
+            error(f"system messages file missing: {a.system_messages_path}")
+    if "parallel" in stages and (cfg.parallel.path is None or not cfg.parallel.path.exists()):
+        error(f"parallel pairs file missing: {cfg.parallel.path}")
     return issues
 
 
@@ -308,28 +202,14 @@ class StageResult:
     dropped: int
     outputs: list[str]
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "input": self.input,
-            "kept": self.kept,
-            "dropped": self.dropped,
-            "outputs": self.outputs,
-        }
-
 
 @dataclass
 class RunReport:
+    """Written as run_report.json. Thread count is deliberately not recorded:
+    outputs are independent of it, and the report should be too."""
+
     seed: int
     stages: list[StageResult] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        # Thread count is deliberately not recorded: outputs are independent
-        # of it, and the report should be too.
-        return {
-            "seed": self.seed,
-            "stages": [s.as_dict() for s in self.stages],
-        }
 
 
 class _StageDir:
@@ -360,8 +240,7 @@ def _rel_paths(paths: list[Path], root: Path) -> list[str]:
 
 
 def _scores_fluency(cfg: PipelineConfig, ds: DatasetSpec) -> bool:
-    applies_to = cfg.filters.get("fluency_applies_to", ["pdf"])
-    return bool(cfg.fluency.get("enabled", False)) and ds.extraction.value in applies_to
+    return cfg.fluency.enabled and ds.extraction in cfg.filters.fluency_applies_to
 
 
 def _input_path(cfg: PipelineConfig, stage: str, ds: DatasetSpec) -> Path | None:
@@ -396,7 +275,7 @@ def _stage_ingest(cfg: PipelineConfig) -> StageResult:
 
 def _stage_filter(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "filter")
-    fcfg = cfg.filter_config()
+    fcfg = cfg.filters.with_wordlists()
     kept_n = 0
     dropped: list[tuple[str, tuple[str, ...]]] = []
     for ds in cfg.datasets:
@@ -412,31 +291,26 @@ def _stage_filter(cfg: PipelineConfig) -> StageResult:
 def _stage_fluency(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "fluency")
     fl = cfg.fluency
-    if not fl.get("enabled", False):
+    if not fl.enabled:
         return StageResult("fluency", 0, 0, 0, [])
 
-    if fl.get("model_path"):
-        lm = fluency.read_model(fl["model_path"])
+    if fl.model_path is not None:
+        lm = fluency.read_model(fl.model_path)
     else:
-        max_chars = int(fl.get("max_train_chars", 1_000_000))
-        train_ds = next(ds for ds in cfg.datasets if ds.name == fl["train_dataset"])
+        train_ds = next(ds for ds in cfg.datasets if ds.name == fl.train_dataset)
         train_docs: list[Document] = []
         chars = 0
         for doc in _docs(cfg, "fluency", train_ds):
             train_docs.append(doc)
             chars += len(doc.text)
-            if chars >= max_chars:
+            if chars >= fl.max_train_chars:
                 break
         lm = fluency.train_ngram_lm(
-            train_docs,
-            order=int(fl.get("order", 7)),
-            holdout_fraction=float(fl.get("holdout_fraction", 0.1)),
-            seed=cfg.seed,
+            train_docs, order=fl.order, holdout_fraction=fl.holdout_fraction, seed=cfg.seed
         )
-        model_path = stage.path("model.nglm")
-        fluency.write_model(lm, model_path)
+        fluency.write_model(lm, stage.path("model.nglm"))
 
-    threshold = cfg.filter_config().fluency_threshold
+    threshold = cfg.filters.fluency_threshold
     kept_n = 0
     dropped: list[tuple[str, tuple[str, ...]]] = []
     for ds in cfg.datasets:
@@ -453,7 +327,7 @@ def _stage_fluency(cfg: PipelineConfig) -> StageResult:
 
 def _stage_dedup(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "dedup")
-    dcfg = cfg.dedup_config()
+    dcfg = replace(cfg.dedup, seed=cfg.seed)
     datasets = [(ds.name, _docs(cfg, "dedup", ds)) for ds in cfg.datasets]
     skip = [ds.name for ds in cfg.datasets if ds.pre_deduplicated]
     result = dedup.dedup_corpus(datasets, dcfg, skip_intra=skip)
@@ -475,11 +349,10 @@ def _stage_dedup(cfg: PipelineConfig) -> StageResult:
 
 def _stage_parallel(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "parallel")
-    pcfg = cfg.parallel_config()
-    order = cfg.parallel.get("order", "filter-then-dedup")
-    pairs = list(parallel.read_pairs(cfg.parallel["path"]))
+    pcfg = cfg.parallel
+    pairs = list(parallel.read_pairs(pcfg.path))
     total = len(pairs)
-    if order == "filter-then-dedup":
+    if pcfg.order == "filter-then-dedup":
         pairs = parallel.threshold_filter(pairs, pcfg)
         filtered = len(pairs)
         pairs, dedup_report = parallel.dedup_parallel(pairs)
@@ -491,7 +364,7 @@ def _stage_parallel(cfg: PipelineConfig) -> StageResult:
     _write_json(
         stage.path("report.json"),
         {
-            "order": order,
+            "order": pcfg.order,
             "input": total,
             "after_first_step": filtered,
             "kept": len(pairs),
@@ -522,24 +395,23 @@ def _greek_datasets(cfg: PipelineConfig) -> list[DatasetSpec]:
 def _stage_tokenizer(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "tokenizer")
     t = cfg.tokenizer
-    max_docs = t.get("max_train_docs")
-    if t.get("base_vocab_path"):
-        base = bpe.load_vocab(t["base_vocab_path"])
+    if t.base_vocab_path is not None:
+        base = bpe.load_vocab(t.base_vocab_path)
         if isinstance(base, bpe.ExtendedVocab):
             raise ValueError("base_vocab_path must point to a base vocabulary")
     else:
-        base_ds = [ds for ds in cfg.datasets if ds.name == t["base_dataset"]]
-        base_docs = _take_docs(cfg, "tokenizer", base_ds, max_docs)
-        base = bpe.train_bpe(base_docs, int(t.get("base_target_tokens", 2000)), seed=cfg.seed)
+        base_ds = [ds for ds in cfg.datasets if ds.name == t.base_dataset]
+        base_docs = _take_docs(cfg, "tokenizer", base_ds, t.max_train_docs)
+        base = bpe.train_bpe(base_docs, t.base_target_tokens, seed=cfg.seed)
     greek = _greek_datasets(cfg)
-    train_docs = _take_docs(cfg, "tokenizer", greek, max_docs)
-    learned = bpe.train_bpe(train_docs, int(t.get("new_target_tokens", 2000)), seed=cfg.seed)
+    train_docs = _take_docs(cfg, "tokenizer", greek, t.max_train_docs)
+    learned = bpe.train_bpe(train_docs, t.new_target_tokens, seed=cfg.seed)
     ext = bpe.extend_vocab(base, learned)
 
     bpe.save_vocab(base, stage.path("base_vocab.json"))
     bpe.save_vocab(ext, stage.path("extended_vocab.json"))
 
-    sample = _take_docs(cfg, "tokenizer", greek, t.get("fertility_sample_docs", 2000))
+    sample = _take_docs(cfg, "tokenizer", greek, t.fertility_sample_docs)
     base_tokens, base_words = bpe.fertility_counts(bpe.ExtendedVocab.from_base(base), sample)
     ext_tokens, ext_words = bpe.fertility_counts(ext, sample)
     _write_json(
@@ -563,33 +435,28 @@ def _stage_embedding(cfg: PipelineConfig) -> StageResult:
     e = cfg.embedding
     base_vocab = bpe.load_vocab(cfg.output_dir / "tokenizer" / "base_vocab.json")
     ext = bpe.load_vocab(cfg.output_dir / "tokenizer" / "extended_vocab.json")
-    dims = int(e.get("dims", 64))
-    multiple = int(e.get("pad_multiple", 8))
-    tied = bool(e.get("tie_lm_head", False))
+    role = embeddings.MatrixRole
 
-    if e.get("base_matrix_path"):
-        base_input = embeddings.read_matrix(e["base_matrix_path"])
+    if e.base_matrix_path is not None:
+        base_input = embeddings.read_matrix(e.base_matrix_path)
     else:
         base_input = embeddings.synthetic_base_matrix(
-            len(base_vocab.tokens), dims, seed=cfg.seed,
-            role=embeddings.MatrixRole.INPUT_EMBEDDINGS,
+            len(base_vocab.tokens), e.dims, cfg.seed, role.INPUT_EMBEDDINGS
         )
     grown = embeddings.init_new_embeddings(base_input, base_vocab, ext)
-    padded = embeddings.pad_to_multiple(grown, multiple)
+    padded = embeddings.pad_to_multiple(grown, e.pad_multiple)
     embeddings.write_matrix(padded, stage.path("input_embeddings.emb"))
-    info = {"input_embeddings": embeddings.matrix_info(padded), "tie_lm_head": tied}
+    info = {"input_embeddings": embeddings.matrix_info(padded), "tie_lm_head": e.tie_lm_head}
 
-    if not tied:
-        base_head = embeddings.synthetic_base_matrix(
-            len(base_vocab.tokens), dims, seed=cfg.seed + 1,
-            role=embeddings.MatrixRole.LM_HEAD,
-        )
-        if e.get("base_matrix_path"):
-            base_head = embeddings.EmbeddingMatrix(
-                data=base_input.data.copy(), role=embeddings.MatrixRole.LM_HEAD
+    if not e.tie_lm_head:
+        if e.base_matrix_path is not None:
+            base_head = embeddings.EmbeddingMatrix(base_input.data.copy(), role.LM_HEAD)
+        else:
+            base_head = embeddings.synthetic_base_matrix(
+                len(base_vocab.tokens), e.dims, cfg.seed + 1, role.LM_HEAD
             )
         head = embeddings.pad_to_multiple(
-            embeddings.init_new_embeddings(base_head, base_vocab, ext), multiple
+            embeddings.init_new_embeddings(base_head, base_vocab, ext), e.pad_multiple
         )
         embeddings.write_matrix(head, stage.path("lm_head.emb"))
         info["lm_head"] = embeddings.matrix_info(head)
@@ -613,13 +480,11 @@ def _stage_plan(cfg: PipelineConfig) -> StageResult:
 def _stage_alignment(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "alignment")
     a = cfg.alignment
-    examples = align_mod.read_preferences(a["preferences_path"])
+    examples = align_mod.read_preferences(a.preferences_path)
     kept, report = align_mod.curate_preferences(
-        examples,
-        min_rating=float(a.get("min_rating", 0.0)),
-        max_foreign_ratio=float(a.get("max_foreign_ratio", 0.05)),
+        examples, min_rating=a.min_rating, max_foreign_ratio=a.max_foreign_ratio
     )
-    pool = align_mod.load_system_messages(a["system_messages_path"])
+    pool = align_mod.load_system_messages(a.system_messages_path)
     assigned = [align_mod.assign_system_message(ex, pool, seed=cfg.seed) for ex in kept]
     align_mod.write_preferences(stage.path("curated.jsonl"), assigned)
     align_mod.write_rendered(stage.path("rendered.jsonl"), assigned)
@@ -632,7 +497,7 @@ def _stage_alignment(cfg: PipelineConfig) -> StageResult:
 def _stage_stats(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "stats")
     vocab = bpe.load_vocab(cfg.output_dir / "tokenizer" / "extended_vocab.json")
-    every = int(cfg.stats.get("sample_every", 1))
+    every = cfg.stats.sample_every
 
     def sampled() -> Iterator[Document]:
         for ds in cfg.datasets:
@@ -666,6 +531,7 @@ _STAGE_FUNCS = {
     "alignment": _stage_alignment,
     "stats": _stage_stats,
 }
+STAGE_NAMES = tuple(_STAGE_FUNCS)  # in run order
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -703,5 +569,5 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
             time.perf_counter() - started,
         )
         report.stages.append(result)
-    _write_json(cfg.output_dir / "run_report.json", report.as_dict())
+    _write_json(cfg.output_dir / "run_report.json", asdict(report))
     return report

@@ -385,79 +385,41 @@ def write_demo_corpus(out_dir: str | Path, n_docs: int = 2_000, seed: int = 42) 
     for fname in ("bad_words_sample.txt", "url_blacklist_sample.txt", "system_messages_el.json"):
         shutil.copy(data_dir / fname, out / fname)
 
+    # Only the values where the demo departs from the section defaults.
     config = {
         "seed": seed,
-        "threads": 1,
-        "output_dir": "out",
         "datasets": [
-            {"name": "el_web", "path": "el_web.jsonl", "language": "el",
-             "pre_deduplicated": False, "extraction": "web"},
-            {"name": "el_wiki", "path": "el_wiki.jsonl", "language": "el",
-             "pre_deduplicated": True, "extraction": "web"},
-            {"name": "el_pdf", "path": "el_pdf.jsonl", "language": "el",
-             "pre_deduplicated": False, "extraction": "pdf"},
-            {"name": "en_wiki", "path": "en_wiki.jsonl", "language": "en",
-             "pre_deduplicated": True, "extraction": "web"},
+            {"name": "el_web", "path": "el_web.jsonl", "language": "el"},
+            {"name": "el_wiki", "path": "el_wiki.jsonl", "language": "el", "pre_deduplicated": True},
+            {"name": "el_pdf", "path": "el_pdf.jsonl", "language": "el", "extraction": "pdf"},
+            {"name": "en_wiki", "path": "en_wiki.jsonl", "language": "en", "pre_deduplicated": True},
         ],
         "filters": {
             "min_chars": 100,
-            "min_words": 6,
-            "max_word_len": 60,
-            "bad_word_threshold": 2,
             "bad_words_path": "bad_words_sample.txt",
             "url_blacklist_path": "url_blacklist_sample.txt",
-            "forbidden_substrings": ["lorem ipsum"],
-            "fluency_threshold": 0.7,
-            "fluency_applies_to": ["pdf"],
         },
         "fluency": {
             "enabled": True,
-            "model_path": None,
             "order": 5,
-            "holdout_fraction": 0.1,
             "train_dataset": "el_wiki",
             "max_train_chars": 400_000,
         },
-        "dedup": {
-            "shingle_n": 5,
-            "num_perm": 128,
-            "jaccard_threshold": 0.8,
-            "bands": None,
-            "rows": None,
-            "verify_candidates": False,
-        },
-        "parallel": {
-            "path": "parallel.jsonl",
-            "margin_threshold": 1.06,
-            "classifier_threshold": 0.7,
-            "require_scores": False,
-            "order": "filter-then-dedup",
-        },
+        "dedup": {},
+        "parallel": {"path": "parallel.jsonl"},
         "tokenizer": {
-            "base_vocab_path": None,
             "base_dataset": "en_wiki",
             "base_target_tokens": 1500,
             "new_target_tokens": 1500,
             "max_train_docs": 20_000,
-            "fertility_sample_docs": 2_000,
         },
-        "embedding": {
-            "dims": 64,
-            "base_matrix_path": None,
-            "pad_multiple": 8,
-            "tie_lm_head": False,
-        },
+        "embedding": {},
         "alignment": {
             "preferences_path": "preferences.jsonl",
             "min_rating": 5.0,
-            "max_foreign_ratio": 0.05,
             "system_messages_path": "system_messages_el.json",
         },
         "stats": {"sample_every": 20},
-        "stages": [
-            "ingest", "filter", "fluency", "dedup", "parallel",
-            "tokenizer", "embedding", "plan", "alignment", "stats",
-        ],
     }
     config_path = out / "config.json"
     config_path.write_text(

@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
-from corpus_forge import dedup
+from corpus_forge import dedup, embeddings
 from corpus_forge.cli import main
+from corpus_forge.documents import Document, read_documents, write_documents
 from corpus_forge.pipeline import (
     STAGE_NAMES,
     ConfigValidationError,
@@ -33,33 +36,46 @@ def _errors(cfg):
     return [i.message for i in validate_config(cfg) if i.level == "error"]
 
 
+def _config_file(demo_dir, tmp_path, **sections):
+    """The demo config with `sections` merged into its JSON, written beside
+    the demo data so its relative paths still resolve."""
+    config = json.loads((demo_dir / "config.json").read_text())
+    for key, value in sections.items():
+        config[key] = {**config[key], **value} if isinstance(value, dict) else value
+    path = demo_dir / f"{tmp_path.name}.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def _load_errors(path):
+    """Error messages of loading and then validating the config at `path`."""
+    try:
+        return _errors(PipelineConfig.load(path))
+    except ConfigValidationError as exc:
+        return [i.message for i in exc.issues]
+
+
 def test_demo_config_validates_clean(demo_dir):
     cfg = _load(demo_dir)
     issues = validate_config(cfg)
     assert [i for i in issues if i.level == "error"] == []
 
 
-def test_banding_invariant_produces_error(demo_dir):
-    cfg = _load(demo_dir)
-    cfg.dedup["bands"] = 16
-    cfg.dedup["rows"] = 9
-    cfg.dedup["num_perm"] = 128
-    issues = validate_config(cfg)
-    assert any("16*9" in i.message for i in issues if i.level == "error")
+def test_banding_invariant_produces_error(demo_dir, tmp_path):
+    path = _config_file(demo_dir, tmp_path, dedup={"bands": 16, "rows": 9, "num_perm": 128})
+    assert any("16*9" in m for m in _load_errors(path))
 
 
-def test_banding_overflow_is_reported_once(demo_dir):
-    cfg = _load(demo_dir)
-    cfg.dedup.update(bands=20, rows=13, num_perm=128)
-    errors = [i.message for i in validate_config(cfg) if i.level == "error"]
+def test_banding_overflow_is_reported_once(demo_dir, tmp_path):
+    path = _config_file(demo_dir, tmp_path, dedup={"bands": 20, "rows": 13, "num_perm": 128})
+    errors = _load_errors(path)
     assert len(errors) == 1 and "20*13" in errors[0]
 
 
-def test_missing_bad_words_file_is_error(demo_dir):
-    cfg = _load(demo_dir)
-    cfg.filters["bad_words_path"] = demo_dir / "missing.txt"
-    issues = validate_config(cfg)
-    assert any("list file missing" in i.message for i in issues if i.level == "error")
+def test_missing_bad_words_file_is_error(demo_dir, tmp_path):
+    path = _config_file(demo_dir, tmp_path,
+                        filters={"bad_words_path": str(demo_dir / "missing.txt")})
+    assert any("list file missing" in m for m in _load_errors(path))
 
 
 def test_empty_dataset_list_is_error(demo_dir):
@@ -83,6 +99,110 @@ def test_run_aborts_on_validation_error(demo_dir, tmp_path):
     with pytest.raises(ConfigValidationError):
         run_pipeline(cfg)
     assert not (tmp_path / "never").exists()
+
+
+# One case per config section: (section, a misspelled key, the key meant,
+# {key: a value that fails}).
+SECTION_CASES = [
+    ("filters", "min_char", "min_chars", {"min_chars": -1}),
+    ("fluency", "ordr", "order", {"order": 1}),
+    ("dedup", "num_perms", "num_perm", {"jaccard_threshold": 1.5}),
+    ("parallel", "margin", "margin_threshold", {"order": "sideways"}),
+    ("tokenizer", "new_target_tokenz", "new_target_tokens", {"fertility_sample_docs": "5"}),
+    ("embedding", "dim", "dims", {"pad_multiple": 0}),
+    ("alignment", "min_ratings", "min_rating", {"min_rating": "5"}),
+    ("stats", "sample_evry", "sample_every", {"sample_every": 0}),
+    ("datasets[0]", "extracton", "extraction", {"extraction": "scan"}),
+    ("top level", "thredas", "threads", {"threads": 0}),
+]
+SECTION_IDS = [case[0] for case in SECTION_CASES]
+
+
+def _with(demo_dir, section, values):
+    """The sections argument of _config_file that merges `values` into `section`."""
+    config = json.loads((demo_dir / "config.json").read_text())
+    if section == "top level":
+        return values
+    if section == "datasets[0]":
+        return {"datasets": [{**config["datasets"][0], **values}, *config["datasets"][1:]]}
+    return {section: values}
+
+
+@pytest.mark.parametrize("section,typo,meant,_", SECTION_CASES, ids=SECTION_IDS)
+def test_misspelled_key_is_one_error(demo_dir, tmp_path, section, typo, meant, _):
+    errors = _load_errors(_config_file(demo_dir, tmp_path, **_with(demo_dir, section, {typo: 1})))
+    assert len(errors) == 1, errors
+    assert errors[0].startswith(f"{section}: unknown key {typo!r}; valid keys: ")
+    assert meant in errors[0].split("valid keys: ")[1].split(", ")
+
+
+@pytest.mark.parametrize("section,_,__,values", SECTION_CASES, ids=SECTION_IDS)
+def test_bad_value_fails_before_any_stage(demo_dir, tmp_path, capsys, section, _, __, values):
+    path = _config_file(demo_dir, tmp_path, **_with(demo_dir, section, values))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    (key,) = values
+    assert f"error: {section}" in err and key in err, err
+    assert not out.exists()
+
+
+def test_head_typos_are_rejected_by_validate_only(demo_dir, tmp_path, capsys):
+    path = _config_file(demo_dir, tmp_path, dedup={"num_perms": 64},
+                        tokenizer={"new_target_tokenz": 5}, thredas=2)
+    assert main(["run", "--config", str(path), "--validate-only"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 3
+    for section, key, valid in (("top level", "thredas", "threads"),
+                                ("dedup", "num_perms", "num_perm"),
+                                ("tokenizer", "new_target_tokenz", "new_target_tokens")):
+        (line,) = [e for e in errors if repr(key) in e]
+        assert line.startswith(f"error: {section}: unknown key {key!r}; valid keys: ")
+        assert valid in line.split("valid keys: ")[1].split(", ")
+
+
+@pytest.mark.parametrize("change,expected", [
+    ({"datasets": [{"path": "el_web.jsonl"}]}, "datasets[0]: missing key 'name'"),
+    ({"filters": None}, "filters: expected object, got null"),
+    ({"filters": {"max_word_len": "60"}},
+     "filters.max_word_len: expected integer or null, got string '60'"),
+    ({"datasets": [{"name": "el_web", "path": "el_web.jsonl", "extracton": "pdf"}]},
+     "datasets[0]: unknown key 'extracton'"),
+    ({"stages": "dedup"}, "stages: expected array, got string 'dedup'"),
+], ids=["no-name", "null-section", "string-int", "misspelled-dataset-key", "string-stages"])
+def test_malformed_config_exits_1_with_one_error_line(demo_dir, tmp_path, capsys, change,
+                                                      expected):
+    path = _config_file(demo_dir, tmp_path, **change)
+    assert main(["run", "--config", str(path), "--validate-only"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {expected}"), errors
+
+
+def test_benchmark_and_synth_configs_load_clean(demo_dir, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    paths = [demo_dir / "config.json"]
+    for workload in ("pipeline_20k", "boilerplate_dedup", "greek_tokenize"):
+        paths.append(gen.generate(workload, 1, tmp_path / workload, n_docs=50)["config"])
+    for path in paths:
+        assert _errors(PipelineConfig.load(path)) == [], path
+
+
+def test_cli_section_flags_default_to_the_dataclass(tmp_path, capsys):
+    from corpus_forge.embeddings import EmbeddingConfig, EmbeddingMatrix, read_matrix
+    import numpy as np
+
+    matrix = tmp_path / "m.emb"
+    embeddings.write_matrix(EmbeddingMatrix(data=np.ones((3, 2), dtype=np.float32)), matrix)
+    assert main(["embed", "pad", "--in", str(matrix), "--out", str(tmp_path / "p.emb")]) == 0
+    assert read_matrix(tmp_path / "p.emb").rows == EmbeddingConfig().pad_multiple
+    assert main(["embed", "pad", "--in", str(matrix), "--out", str(tmp_path / "q.emb"),
+                 "--multiple", "0"]) == 1
+    assert "error: embed: pad_multiple must be positive" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -147,14 +267,13 @@ def test_dedup_summary_counts(demo_run):
 
 
 def test_stage_failure_leaves_partials(demo_dir, tmp_path):
-    cfg = _load(demo_dir)
-    cfg.output_dir = tmp_path / "broken"
-    cfg.stages = ["ingest", "filter", "fluency", "dedup", "parallel"]
-    cfg.parallel = dict(cfg.parallel)
     # Valid at validation time, deleted before the stage runs.
     doomed = tmp_path / "pairs.jsonl"
     shutil.copy(demo_dir / "parallel.jsonl", doomed)
-    cfg.parallel["path"] = doomed
+    cfg = PipelineConfig.load(_config_file(
+        demo_dir, tmp_path, parallel={"path": str(doomed)},
+        stages=["ingest", "filter", "fluency", "dedup", "parallel"]))
+    cfg.output_dir = tmp_path / "broken"
     doomed_unlink = doomed.unlink
 
     import corpus_forge.pipeline as pl
@@ -225,6 +344,70 @@ def test_stages_rerun_after_failed_stage(demo_dir, demo_run, tmp_path, monkeypat
         cfg.stages = [stage]
         run_pipeline(cfg)
     assert _tree(cfg.output_dir) == _tree(full)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_embedding_from_base_matrix(demo_dir, demo_run, tmp_path, monkeypatch, tied):
+    _, _, full = demo_run
+    tree = tmp_path / "tree"
+    shutil.copytree(full, tree)
+    shutil.rmtree(tree / "embedding")
+    from corpus_forge import bpe
+
+    rows = len(bpe.load_vocab(full / "tokenizer" / "base_vocab.json").tokens)
+    base = embeddings.synthetic_base_matrix(rows, 16, seed=3)
+    embeddings.write_matrix(base, tmp_path / "base.emb")
+    cfg = PipelineConfig.load(_config_file(
+        demo_dir, tmp_path, embedding={"base_matrix_path": str(tmp_path / "base.emb"),
+                                       "tie_lm_head": tied}))
+    cfg.output_dir = tree
+    cfg.stages = ["embedding"]
+
+    def no_synthetic(*args, **kwargs):
+        raise AssertionError("a base matrix is given; none may be synthesized")
+
+    monkeypatch.setattr(embeddings, "synthetic_base_matrix", no_synthetic)
+    run_pipeline(cfg)
+    stage = tree / "embedding"
+    grown = embeddings.read_matrix(stage / "input_embeddings.emb")
+    assert (grown.data[:rows] == base.data).all() and grown.rows % 8 == 0
+    info = json.loads((stage / "info.json").read_text())
+    assert info["tie_lm_head"] is tied
+    assert (stage / "lm_head.emb").exists() is not tied
+    if not tied:
+        head = embeddings.read_matrix(stage / "lm_head.emb")
+        assert head.role is embeddings.MatrixRole.LM_HEAD
+        assert (head.data == grown.data).all()
+
+
+def test_repeated_ids_with_a_copy_in_each_dataset(tmp_path, capsys):
+    # A = {x, y}, y a copy of x; B = {y, w}, w a copy of B's y. Intra keeps
+    # A's x and B's y, told apart by ingestion index though both ids are "y".
+    one = "ena dyo tria tessera pente exi epta okto ennia deka"
+    two = "completely different words appear here in this one"
+    a = [Document(id="x", text=one, dataset="a"), Document(id="y", text=one, dataset="a")]
+    b = [Document(id="y", text=two, dataset="b"), Document(id="w", text=two, dataset="b")]
+    result = dedup.dedup_corpus([("a", a), ("b", b)], dedup.DedupConfig(seed=2))
+    expected = [("a", "x"), ("b", "y")]
+    assert [(d.dataset, d.id) for d in result.survivors] == expected
+    assert result.reports["intra"].summary() == {"input": 4, "kept": 2, "removed": 2,
+                                                 "clusters": 2}
+
+    write_documents(tmp_path / "a.jsonl", a)
+    write_documents(tmp_path / "b.jsonl", b)
+    config = {"datasets": [{"name": "a", "path": "a.jsonl"}, {"name": "b", "path": "b.jsonl"}],
+              "stages": ["ingest", "dedup"]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    run_pipeline(PipelineConfig.load(tmp_path / "config.json"))
+    assert [(d.dataset, d.id) for name in ("a", "b")
+            for d in read_documents(tmp_path / "out" / "dedup" / f"{name}.jsonl")] == expected
+
+    rc = main(["dedup", "run", "--in", f"a={tmp_path / 'a.jsonl'}", f"b={tmp_path / 'b.jsonl'}",
+               "--stage", "intra", "--out", str(tmp_path / "dd")])
+    assert rc == 0
+    assert [(d.dataset, d.id) for d in read_documents(tmp_path / "dd" / "survivors.jsonl")] \
+        == expected
+    assert "intra: input=4 removed=2 clusters=2" in capsys.readouterr().out
 
 
 def test_input_path_rule(demo_dir, demo_run):
@@ -388,8 +571,6 @@ def test_cli_dedup_run(tmp_path, demo_dir, capsys):
 
 def test_cli_dedup_intra_keeps_repeated_id(tmp_path, capsys):
     # A = {x, y} where y copies x; B = {y} with unique text. B's y survives.
-    from corpus_forge.documents import Document, read_documents, write_documents
-
     text = "ena dyo tria tessera pente exi epta okto ennia deka"
     write_documents(tmp_path / "a.jsonl", [Document(id="x", text=text, dataset="a"),
                                           Document(id="y", text=text, dataset="a")])
