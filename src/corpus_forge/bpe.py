@@ -11,17 +11,15 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-import re
 from typing import Iterable
 
-from .documents import Document, count_words
+from .documents import SEGMENT, Document, count_words, token_count
 
 log = logging.getLogger(__name__)
-
-_SEGMENT = re.compile(r"\S+|\s+")
 
 
 @lru_cache(maxsize=1)
@@ -49,8 +47,8 @@ def unicode_to_bytes() -> dict[str, int]:
 
 
 def map_bytes(raw: bytes) -> str:
-    table = bytes_to_unicode()
-    return "".join(table[b] for b in raw)
+    # latin-1 turns each byte into the character of the same ordinal.
+    return raw.decode("latin-1").translate(bytes_to_unicode())
 
 
 def map_text(text: str) -> str:
@@ -62,29 +60,43 @@ def unmap_to_bytes(mapped: str) -> bytes:
     return bytes(table[c] for c in mapped)
 
 
-def _pair_counts(symbols: tuple[str, ...]) -> dict[tuple[str, str], int]:
-    counts: dict[tuple[str, str], int] = {}
-    for pair in zip(symbols, symbols[1:]):
-        counts[pair] = counts.get(pair, 0) + 1
-    return counts
+def _merge_pair(
+    symbols: list[str],
+    pair: tuple[str, str],
+    merged: str,
+    delta: defaultdict[tuple[str, str], int] | None = None,
+) -> list[str]:
+    """Replace the leftmost non-overlapping occurrences of pair by merged.
 
-
-def _merge_word(
-    symbols: tuple[str, ...], pair: tuple[str, str], merged: str
-) -> tuple[str, ...]:
-    """Replace leftmost non-overlapping occurrences of pair."""
+    With `delta`, the same walk adds the change in the word's adjacent-pair
+    counts: -1 for each old pair beside a merged position, +1 for each new
+    pair beside a merged symbol. Pairs away from the merges keep their
+    counts. The entry for `pair` itself is incomplete; no occurrence of it
+    survives the walk.
+    """
     a, b = pair
     out: list[str] = []
-    i = 0
-    n = len(symbols)
+    joined = False  # out[-1] is a merged symbol
+    i, n = 0, len(symbols)
     while i < n:
-        if i < n - 1 and symbols[i] == a and symbols[i + 1] == b:
+        if i + 1 < n and symbols[i] == a and symbols[i + 1] == b:
+            if delta is not None:
+                if out:
+                    delta[out[-1], merged] += 1
+                    if not joined:  # else the previous merge counted (b, a)
+                        delta[out[-1], a] -= 1
+                if i + 2 < n:
+                    delta[b, symbols[i + 2]] -= 1
             out.append(merged)
             i += 2
+            joined = True
         else:
+            if joined and delta is not None:
+                delta[merged, symbols[i]] += 1
             out.append(symbols[i])
             i += 1
-    return tuple(out)
+            joined = False
+    return out
 
 
 def _apply_merges(symbols: list[str], ranks: dict[tuple[str, str], int]) -> list[str]:
@@ -101,19 +113,44 @@ def _apply_merges(symbols: list[str], ranks: dict[tuple[str, str], int]) -> list
                 best_pair = pair
         if best_pair is None:
             break
-        symbols = list(_merge_word(tuple(symbols), best_pair, best_pair[0] + best_pair[1]))
+        symbols = _merge_pair(symbols, best_pair, best_pair[0] + best_pair[1])
     return symbols
 
 
-class Vocab:
+class _SegmentEncoder:
+    """The encode loop shared by both vocabulary classes. Each distinct raw
+    segment is mapped and merged once, by each merge list of `_phases` in
+    turn, and its ids are cached under the segment."""
+
+    _phases: tuple[dict[tuple[str, str], int], ...]
+    _ids: dict[str, int]
+    _strings: list[str]
+    _cache: dict[str, tuple[int, ...]]
+
+    def _segment_ids(self, seg: str) -> tuple[int, ...]:
+        ids = self._cache.get(seg)
+        if ids is None:
+            symbols = list(map_text(seg))
+            for ranks in self._phases:
+                symbols = _apply_merges(symbols, ranks)
+            ids = self._cache[seg] = tuple(self._ids[s] for s in symbols)
+        return ids
+
+    def encode(self, text: str) -> list[int]:
+        ids: list[int] = []
+        for seg in SEGMENT.findall(text):
+            ids.extend(self._segment_ids(seg))
+        return ids
+
+    def decode(self, ids: Iterable[int]) -> str:
+        mapped = "".join(self._strings[i] for i in ids)
+        return unmap_to_bytes(mapped).decode("utf-8", errors="replace")
+
+
+class Vocab(_SegmentEncoder):
     """Base vocabulary: 256 byte tokens plus learned merge results."""
 
-    def __init__(
-        self,
-        tokens: list[str],
-        merges: list[tuple[str, str]],
-        byte_fallback: bool = True,
-    ):
+    def __init__(self, tokens: list[str], merges: list[tuple[str, str]], byte_fallback: bool = True):
         self.tokens = list(tokens)
         self.merges = [tuple(m) for m in merges]
         self.byte_fallback = byte_fallback
@@ -121,7 +158,10 @@ class Vocab:
         for i, tok in enumerate(self.tokens):
             self.token_to_id.setdefault(tok, i)
         self.ranks = {pair: i for i, pair in enumerate(self.merges)}
-        self._cache: dict[str, tuple[int, ...]] = {}
+        self._phases = (self.ranks,)
+        self._ids = self.token_to_id
+        self._strings = self.tokens
+        self._cache = {}
         self.validate()
 
     def validate(self) -> None:
@@ -139,27 +179,9 @@ class Vocab:
         table = bytes_to_unicode()
         return cls(tokens=[table[b] for b in range(256)], merges=[])
 
-    def encode_mapped(self, mapped: str) -> tuple[int, ...]:
-        cached = self._cache.get(mapped)
-        if cached is None:
-            merged = _apply_merges(list(mapped), self.ranks)
-            cached = tuple(self.token_to_id[s] for s in merged)
-            self._cache[mapped] = cached
-        return cached
-
-    def encode(self, text: str) -> list[int]:
-        ids: list[int] = []
-        for seg in _SEGMENT.findall(text):
-            ids.extend(self.encode_mapped(map_text(seg)))
-        return ids
-
-    def decode(self, ids: Iterable[int]) -> str:
-        mapped = "".join(self.tokens[i] for i in ids)
-        return unmap_to_bytes(mapped).decode("utf-8", errors="replace")
-
 
 @dataclass
-class ExtendedVocab:
+class ExtendedVocab(_SegmentEncoder):
     """Base vocabulary plus appended tokens/merges; base ids are preserved and
     base merges always run to completion before the added ones."""
 
@@ -175,43 +197,23 @@ class ExtendedVocab:
                 raise ValueError(f"added token {tok!r} already in base vocabulary")
         if len(set(self.added_tokens)) != len(self.added_tokens):
             raise ValueError("duplicate added tokens")
-        self._added_ranks = {pair: i for i, pair in enumerate(self.added_merges)}
-        self._token_to_id = dict(self.base.token_to_id)
+        self._phases = (self.base.ranks, {pair: i for i, pair in enumerate(self.added_merges)})
+        self._ids = dict(self.base.token_to_id)
         for i, tok in enumerate(self.added_tokens):
-            self._token_to_id[tok] = len(self.base.tokens) + i
-        self._cache: dict[str, tuple[int, ...]] = {}
+            self._ids[tok] = len(self.base.tokens) + i
+        self._strings = self.base.tokens + self.added_tokens
+        self._cache = {}
 
     @property
     def total_size(self) -> int:
-        return len(self.base.tokens) + len(self.added_tokens)
+        return len(self._strings)
 
     @classmethod
     def from_base(cls, base: Vocab) -> "ExtendedVocab":
         return cls(base=base)
 
     def token_string(self, token_id: int) -> str:
-        if token_id < len(self.base.tokens):
-            return self.base.tokens[token_id]
-        return self.added_tokens[token_id - len(self.base.tokens)]
-
-    def encode_mapped(self, mapped: str) -> tuple[int, ...]:
-        cached = self._cache.get(mapped)
-        if cached is None:
-            symbols = _apply_merges(list(mapped), self.base.ranks)
-            symbols = _apply_merges(symbols, self._added_ranks)
-            cached = tuple(self._token_to_id[s] for s in symbols)
-            self._cache[mapped] = cached
-        return cached
-
-    def encode(self, text: str) -> list[int]:
-        ids: list[int] = []
-        for seg in _SEGMENT.findall(text):
-            ids.extend(self.encode_mapped(map_text(seg)))
-        return ids
-
-    def decode(self, ids: Iterable[int]) -> str:
-        mapped = "".join(self.token_string(i) for i in ids)
-        return unmap_to_bytes(mapped).decode("utf-8", errors="replace")
+        return self._strings[token_id]
 
 
 @dataclass(frozen=True)
@@ -231,31 +233,30 @@ class TokenizerConfig:
                 raise ValueError(f"{name} must be positive or null")
 
 
-def train_bpe(
-    corpus: Iterable[Document], target_new_tokens: int, seed: int = 0
-) -> Vocab:
+def train_bpe(corpus: Iterable[Document], target_new_tokens: int, seed: int = 0) -> Vocab:
     """Greedy byte-level BPE by pair frequency.
 
-    Ties break on the lexicographically smallest pair, which makes training
-    fully deterministic; the seed is accepted for interface stability but
-    never consulted. Returns fewer merges (with a warning) when the corpus
+    Each distinct segment is counted once with its frequency. Ties break on
+    the lexicographically smallest pair, so the merges depend neither on the
+    seed, which is accepted for interface stability but never consulted, nor
+    on document order. Returns fewer merges (with a warning) when the corpus
     exhausts its pairs early.
     """
     del seed
-    seg_freqs: dict[str, int] = {}
+    seg_freqs: Counter[str] = Counter()
     for doc in corpus:
-        for seg in _SEGMENT.findall(doc.text):
-            mapped = map_text(seg)
-            seg_freqs[mapped] = seg_freqs.get(mapped, 0) + 1
+        seg_freqs.update(SEGMENT.findall(doc.text))
+    words = [list(map_text(seg)) for seg in seg_freqs]
+    freqs = list(seg_freqs.values())
+    stats: defaultdict[tuple[str, str], int] = defaultdict(int)
+    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)  # words that may hold it
+    for idx, symbols in enumerate(words):
+        for pair in zip(symbols, symbols[1:]):
+            stats[pair] += freqs[idx]
+            where[pair].add(idx)
 
-    words: list[list] = [[tuple(mapped), freq] for mapped, freq in seg_freqs.items()]
-    stats: dict[tuple[str, str], int] = {}
-    indices: dict[tuple[str, str], dict[int, int]] = {}
-    for idx, (syms, freq) in enumerate(words):
-        for pair, cnt in _pair_counts(syms).items():
-            stats[pair] = stats.get(pair, 0) + cnt * freq
-            indices.setdefault(pair, {})[idx] = cnt
-
+    # A pair is pushed at each new count; an entry whose count is no longer
+    # the pair's is stale and skipped when popped.
     heap = [(-f, pair) for pair, f in stats.items()]
     heapq.heapify(heap)
 
@@ -266,38 +267,32 @@ def train_bpe(
 
     while len(merges) < target_new_tokens and heap:
         neg, pair = heapq.heappop(heap)
-        current = stats.get(pair, 0)
-        if current == 0 or current != -neg:
-            continue  # stale heap entry
+        if stats.get(pair) != -neg:
+            continue
         merged = pair[0] + pair[1]
         merges.append(pair)
         if merged not in token_set:
             tokens.append(merged)
             token_set.add(merged)
-        for idx in list(indices[pair].keys()):
-            syms, freq = words[idx]
-            old_counts = _pair_counts(syms)
-            new_syms = _merge_word(syms, pair, merged)
-            new_counts = _pair_counts(new_syms)
-            words[idx][0] = new_syms
-            for p in old_counts.keys() | new_counts.keys():
-                delta = new_counts.get(p, 0) - old_counts.get(p, 0)
-                if delta == 0:
-                    continue
-                total = stats.get(p, 0) + delta * freq
-                occ = indices.setdefault(p, {})
-                new_occ = occ.get(idx, 0) + delta
-                if new_occ:
-                    occ[idx] = new_occ
-                else:
-                    occ.pop(idx, None)
-                if total:
-                    stats[p] = total
-                    heapq.heappush(heap, (-total, p))
-                else:
-                    stats.pop(p, None)
-        stats.pop(pair, None)
-        indices.pop(pair, None)
+        changes: defaultdict[tuple[str, str], int] = defaultdict(int)
+        for idx in where.pop(pair):
+            delta: defaultdict[tuple[str, str], int] = defaultdict(int)
+            words[idx] = _merge_pair(words[idx], pair, merged, delta)
+            for p, d in delta.items():
+                if d:
+                    changes[p] += d * freqs[idx]
+                    if d > 0:
+                        where[p].add(idx)
+        del stats[pair]
+        for p, d in changes.items():
+            if d == 0 or p == pair:
+                continue
+            total = stats.get(p, 0) + d
+            if total:
+                stats[p] = total
+                heapq.heappush(heap, (-total, p))
+            else:
+                stats.pop(p, None)
 
     if len(merges) < target_new_tokens:
         log.warning(
@@ -337,17 +332,14 @@ def encode(vocab: Vocab | ExtendedVocab, text: str) -> list[int]:
     return vocab.encode(text)
 
 
-def decode(vocab: Vocab | ExtendedVocab, ids: Iterable[int]) -> str:
-    return vocab.decode(ids)
-
-
 def fertility_counts(vocab: Vocab | ExtendedVocab, corpus: Iterable[Document]) -> tuple[int, int]:
-    tokens = 0
+    """(tokens, words) of the corpus, each distinct segment encoded once."""
+    segments: Counter[str] = Counter()
     words = 0
     for doc in corpus:
-        tokens += len(vocab.encode(doc.text))
+        segments.update(SEGMENT.findall(doc.text))
         words += count_words(doc.text)
-    return tokens, words
+    return token_count(vocab, segments), words
 
 
 def fertility(vocab: Vocab | ExtendedVocab, corpus: Iterable[Document]) -> float:

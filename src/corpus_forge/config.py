@@ -39,6 +39,18 @@ def config_keys(cls) -> dict[str, dataclasses.Field]:
     return {f.name: f for f in dataclasses.fields(cls) if f.metadata.get("config_key", True)}
 
 
+def path_values(value: Any, where: str = "") -> typing.Iterator[tuple[str, Path]]:
+    """Every Path in `value`, a section, by its dotted key (`datasets[0].path`)."""
+    if isinstance(value, Path):
+        yield where, value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from path_values(getattr(value, f.name), f"{where}.{f.name}".lstrip("."))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from path_values(item, f"{where}[{i}]")
+
+
 def _convert(hint: Any, value: Any, where: str, base: Path, errors: list[str]) -> Any:
     """`value` as type `hint`, or _WrongType; nested sections append to `errors`."""
     nullable = typing.get_origin(hint) in (typing.Union, types.UnionType)

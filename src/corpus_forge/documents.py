@@ -5,7 +5,9 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -29,6 +31,17 @@ class SchemaError(ValueError):
 def count_words(text: str) -> int:
     """Whitespace-delimited word count (Unicode whitespace split)."""
     return len(text.split())
+
+
+# A segment is a maximal run of whitespace or of other characters. Tokenizers
+# here never merge across segments, so a text's tokens are its segments'.
+SEGMENT = re.compile(r"\S+|\s+")
+
+
+def token_count(tokenizer, segments: Mapping[str, int]) -> int:
+    """Tokens in text given as segment -> occurrences, each distinct segment
+    encoded once (duck-typed .encode)."""
+    return sum(n * len(tokenizer.encode(seg)) for seg, n in segments.items())
 
 
 # Fixed serialization order so corpus files diff cleanly.
@@ -288,9 +301,9 @@ class CorpusStats:
 
 
 def corpus_stats(docs: Iterable[Document], tokenizer) -> CorpusStats:
-    """Token counts per dataset under the given tokenizer (duck-typed .encode)."""
-    counts: dict[str, int] = {}
+    """Token counts per dataset under the given tokenizer (duck-typed .encode,
+    which must not merge across segments)."""
+    segments: dict[str, Counter[str]] = {}
     for doc in docs:
-        name = doc.dataset or "default"
-        counts[name] = counts.get(name, 0) + len(tokenizer.encode(doc.text))
-    return CorpusStats.from_counts(counts)
+        segments.setdefault(doc.dataset or "default", Counter()).update(SEGMENT.findall(doc.text))
+    return CorpusStats.from_counts({k: token_count(tokenizer, c) for k, c in segments.items()})

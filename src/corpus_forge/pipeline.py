@@ -22,7 +22,7 @@ from . import alignment as align_mod
 from . import bpe, dedup, embeddings, fluency, parallel, schedule
 from .alignment import AlignmentConfig
 from .bpe import TokenizerConfig
-from .config import ConfigValidationError, Issue, load_section
+from .config import ConfigValidationError, Issue, load_section, path_values
 from .dedup import DedupConfig
 from .documents import (
     Document,
@@ -124,6 +124,11 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
     for name in cfg.stages:
         if name not in STAGE_NAMES:
             error(f"unknown stage {name!r}")
+    # A stage that succeeds deletes every file in its directory it did not write.
+    cleared = {(cfg.output_dir / s).resolve(): s for s in STAGE_NAMES if s in stages}
+    for key, path in path_values(cfg):
+        if key != "output_dir" and (stage := cleared.get(path.parent.resolve())):
+            error(f"{key}: input file {path} is in the directory that the {stage} stage clears")
     if not cfg.datasets and stages & {"ingest", "filter", "fluency", "dedup",
                                       "tokenizer", "stats"}:
         error("empty input dataset list")
@@ -214,7 +219,8 @@ class RunReport:
 
 class _StageDir:
     """Collects outputs under stage_dir; files are written as .partial and
-    renamed on success so failures leave partials behind."""
+    renamed on success so failures leave partials behind. On success every
+    other file in the directory is deleted, so it holds this run's outputs."""
 
     def __init__(self, out_dir: Path, stage: str):
         self.dir = out_dir / stage
@@ -232,6 +238,9 @@ class _StageDir:
         for tmp, final in self._pending:
             os.replace(tmp, final)
             finals.append(final)
+        for path in self.dir.iterdir():
+            if path.is_file() and path not in finals:
+                path.unlink()
         return finals
 
 
@@ -292,6 +301,7 @@ def _stage_fluency(cfg: PipelineConfig) -> StageResult:
     stage = _StageDir(cfg.output_dir, "fluency")
     fl = cfg.fluency
     if not fl.enabled:
+        stage.finalize()
         return StageResult("fluency", 0, 0, 0, [])
 
     if fl.model_path is not None:

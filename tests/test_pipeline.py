@@ -380,6 +380,43 @@ def test_embedding_from_base_matrix(demo_dir, demo_run, tmp_path, monkeypatch, t
         assert (head.data == grown.data).all()
 
 
+def test_rerun_stage_directory_holds_only_new_outputs(demo_dir, demo_run, tmp_path):
+    # An untied tree rerun with a tied head: the old lm_head.emb and a stray
+    # partial of an earlier failed run are gone once the stage succeeds.
+    _, _, full = demo_run
+    tree = tmp_path / "tree"
+    shutil.copytree(full, tree)
+    assert (tree / "embedding" / "lm_head.emb").exists()
+    (tree / "embedding" / "lm_head.emb.partial").write_bytes(b"stale")
+    cfg = PipelineConfig.load(_config_file(demo_dir, tmp_path, embedding={"tie_lm_head": True}))
+    cfg.output_dir = tree
+    cfg.stages = ["embedding"]
+    run_pipeline(cfg)
+    assert sorted(p.name for p in (tree / "embedding").iterdir()) == [
+        "info.json", "input_embeddings.emb"]
+
+
+@pytest.mark.parametrize("key, stage", [
+    ("datasets[0].path", "ingest"), ("filters.bad_words_path", "filter"),
+    ("filters.url_blacklist_path", "filter"), ("fluency.model_path", "fluency"),
+    ("parallel.path", "parallel"), ("tokenizer.base_vocab_path", "tokenizer"),
+    ("embedding.base_matrix_path", "embedding"), ("alignment.preferences_path", "alignment"),
+    ("alignment.system_messages_path", "alignment"), ("filters.bad_words_path", "ingest"),
+])
+def test_input_file_in_a_stage_directory_is_error(demo_dir, demo_run, tmp_path, key, stage):
+    # A run of that stage would delete the file before or after it is read.
+    _, _, full = demo_run
+    config = json.loads((demo_dir / "config.json").read_text())
+    config["output_dir"] = str(full)
+    section, name = key.split(".")
+    entry = config["datasets"][0] if section == "datasets[0]" else config.setdefault(section, {})
+    entry[name] = str(full / stage / "input.txt")
+    path = demo_dir / f"{tmp_path.name}.json"
+    path.write_text(json.dumps(config))
+    assert any(m.startswith(f"{key}: input file") and f"the {stage} stage" in m
+               for m in _load_errors(path))
+
+
 def test_repeated_ids_with_a_copy_in_each_dataset(tmp_path, capsys):
     # A = {x, y}, y a copy of x; B = {y, w}, w a copy of B's y. Intra keeps
     # A's x and B's y, told apart by ingestion index though both ids are "y".
