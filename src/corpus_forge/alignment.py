@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .documents import SchemaError, read_jsonl, write_jsonl
+
 
 class Category(str, Enum):
     GENERAL = "general"
@@ -291,66 +293,52 @@ def orpo_gradient_error(trials: int, seed: int = 0) -> float:
 
 def read_preferences(path: str | Path) -> list[PreferenceExample]:
     out = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            try:
-                out.append(
-                    PreferenceExample(
-                        prompt=obj["prompt"],
-                        chosen=obj["chosen"],
-                        rejected=obj["rejected"],
-                        system=obj.get("system"),
-                        chosen_rating=obj.get("chosen_rating"),
-                        rejected_rating=obj.get("rejected_rating"),
-                        category=Category(obj.get("category", "general")),
-                        language=obj.get("language", "el"),
-                        id=str(obj.get("id", "")),
-                    )
+    for line_no, obj in read_jsonl(path):
+        try:
+            out.append(
+                PreferenceExample(
+                    prompt=obj["prompt"],
+                    chosen=obj["chosen"],
+                    rejected=obj["rejected"],
+                    system=obj.get("system"),
+                    chosen_rating=obj.get("chosen_rating"),
+                    rejected_rating=obj.get("rejected_rating"),
+                    category=Category(obj.get("category", "general")),
+                    language=obj.get("language", "el"),
+                    id=str(obj.get("id", "")),
                 )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad preference record: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}:{line_no}: bad preference record: {exc}") from exc
     return out
 
 
+def _preference_record(ex: PreferenceExample) -> dict:
+    record = {
+        "id": ex.id,
+        "prompt": ex.prompt,
+        "chosen": ex.chosen,
+        "rejected": ex.rejected,
+        "category": ex.category.value,
+        "language": ex.language,
+    }
+    if ex.system is not None:
+        record["system"] = ex.system
+    if ex.chosen_rating is not None:
+        record["chosen_rating"] = ex.chosen_rating
+    if ex.rejected_rating is not None:
+        record["rejected_rating"] = ex.rejected_rating
+    return record
+
+
 def write_preferences(path: str | Path, examples: Iterable[PreferenceExample]) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for ex in examples:
-            record = {
-                "id": ex.id,
-                "prompt": ex.prompt,
-                "chosen": ex.chosen,
-                "rejected": ex.rejected,
-                "category": ex.category.value,
-                "language": ex.language,
-            }
-            if ex.system is not None:
-                record["system"] = ex.system
-            if ex.chosen_rating is not None:
-                record["chosen_rating"] = ex.chosen_rating
-            if ex.rejected_rating is not None:
-                record["rejected_rating"] = ex.rejected_rating
-            handle.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-            handle.write("\n")
-            n += 1
-    return n
+    return write_jsonl(path, map(_preference_record, examples))
 
 
 def write_rendered(
     path: str | Path, examples: Iterable[PreferenceExample], tpl: ChatTemplate | None = None
 ) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for ex in examples:
-            handle.write(
-                json.dumps(render_chat(ex, tpl), ensure_ascii=False, separators=(",", ":"))
-            )
-            handle.write("\n")
-            n += 1
-    return n
+    return write_jsonl(path, (render_chat(ex, tpl) for ex in examples))
 
 
 def load_system_messages(path: str | Path) -> dict[Category, list[str]]:

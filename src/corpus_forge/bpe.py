@@ -233,16 +233,14 @@ class TokenizerConfig:
                 raise ValueError(f"{name} must be positive or null")
 
 
-def train_bpe(corpus: Iterable[Document], target_new_tokens: int, seed: int = 0) -> Vocab:
+def train_bpe(corpus: Iterable[Document], target_new_tokens: int) -> Vocab:
     """Greedy byte-level BPE by pair frequency.
 
     Each distinct segment is counted once with its frequency. Ties break on
-    the lexicographically smallest pair, so the merges depend neither on the
-    seed, which is accepted for interface stability but never consulted, nor
-    on document order. Returns fewer merges (with a warning) when the corpus
+    the lexicographically smallest pair, so the merges do not depend on
+    document order. Returns fewer merges (with a warning) when the corpus
     exhausts its pairs early.
     """
-    del seed
     seg_freqs: Counter[str] = Counter()
     for doc in corpus:
         seg_freqs.update(SEGMENT.findall(doc.text))

@@ -12,7 +12,14 @@ from pathlib import Path
 from . import alignment as align_mod
 from . import bpe, dedup, embeddings, fluency, parallel, schedule, synth
 from .config import ConfigValidationError, config_keys, load_section
-from .documents import Extraction, canonicalize, corpus_stats, read_documents, write_documents
+from .documents import (
+    Extraction,
+    canonicalize,
+    corpus_stats,
+    read_documents,
+    write_documents,
+    write_json,
+)
 from .filters import FilterConfig, filter_documents, write_drop_report
 from .pipeline import PipelineConfig, StageError, run_pipeline, validate_config
 
@@ -140,7 +147,7 @@ def _cmd_parallel_filter(args) -> int:
 
 def _cmd_tok_train(args) -> int:
     out = _require(args, "out", "--out")
-    vocab = bpe.train_bpe(_read_many(args.inputs), args.target, seed=_seed(args))
+    vocab = bpe.train_bpe(_read_many(args.inputs), args.target)
     bpe.save_vocab(vocab, out)
     print(f"{len(vocab.merges)} merges, vocab size {len(vocab.tokens)} -> {out}")
     return EXIT_OK
@@ -272,9 +279,7 @@ def _cmd_stats(args) -> int:
     print(stats.formatted())
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(
-            json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(out, stats.as_dict())
     return EXIT_OK
 
 

@@ -4,7 +4,6 @@ two-stage (within-dataset, then cross-dataset) duplicate removal."""
 from __future__ import annotations
 
 import itertools
-import json
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -14,7 +13,7 @@ from typing import Callable, Collection, Iterable, Sequence
 import numpy as np
 
 from .config import NOT_A_KEY
-from .documents import Document
+from .documents import Document, write_jsonl
 from .kernels import U64_MAX, hash_byte_strings, minhash_values
 
 
@@ -366,19 +365,9 @@ def write_dedup_outputs(
 def write_cluster_report(path: str | Path, report: DedupReport) -> int:
     """One JSONL line per duplicate cluster: {stage, cluster, kept}, where
     kept is the cluster's first (lowest-index) member."""
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for cluster in report.clusters:
-            handle.write(
-                json.dumps(
-                    {"stage": report.stage, "cluster": cluster, "kept": cluster[0]},
-                    ensure_ascii=False,
-                    separators=(",", ":"),
-                )
-            )
-            handle.write("\n")
-            n += 1
-    return n
+    return write_jsonl(
+        path, ({"stage": report.stage, "cluster": c, "kept": c[0]} for c in report.clusters)
+    )
 
 
 SIG_MAGIC = b"MHSG"

@@ -8,7 +8,7 @@ import json
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
@@ -25,7 +25,7 @@ class ParseError(ValueError):
 
 
 class SchemaError(ValueError):
-    """Structurally valid JSON that does not describe a document."""
+    """Well-formed JSON that does not describe the expected record."""
 
 
 def count_words(text: str) -> int:
@@ -84,32 +84,24 @@ class Document:
 
     def with_text(self, text: str) -> "Document":
         """Copy with replaced text and recomputed word count."""
-        return Document(
-            id=self.id,
-            text=text,
-            language=self.language,
-            num_words=None,
-            dataset=self.dataset,
-            source_url=self.source_url,
-            scores=self.scores,
-            extraction=self.extraction,
-            metadata=self.metadata,
-        )
+        return replace(self, text=text, num_words=None)
 
     def with_score(self, name: str, value: float) -> "Document":
-        scores = dict(self.scores or {})
-        scores[name] = float(value)
-        return Document(
-            id=self.id,
-            text=self.text,
-            language=self.language,
-            num_words=self.num_words,
-            dataset=self.dataset,
-            source_url=self.source_url,
-            scores=scores,
-            extraction=self.extraction,
-            metadata=self.metadata,
-        )
+        return replace(self, scores={**(self.scores or {}), name: float(value)})
+
+
+def _loads(line: str, where: str) -> dict[str, Any]:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: malformed JSON ({exc.msg} at column {exc.colno})") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _dumps(record: Mapping[str, Any]) -> str:
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
 def parse_document(line: str, line_no: int | None = None) -> Document:
@@ -119,12 +111,11 @@ def parse_document(line: str, line_no: int | None = None) -> Document:
     metadata map, and num_words is recomputed when absent.
     """
     where = f"line {line_no}" if line_no is not None else "line"
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: malformed JSON ({exc.msg} at column {exc.colno})") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    return _document_from_record(_loads(line, where), where)
+
+
+def _document_from_record(obj: dict[str, Any], where: str) -> Document:
+    """A Document from one decoded JSONL object; error messages start with `where`."""
     if "text" not in obj:
         raise SchemaError(f"{where}: missing required field 'text'")
     if "id" not in obj:
@@ -151,7 +142,10 @@ def parse_document(line: str, line_no: int | None = None) -> Document:
     if scores is not None:
         if not isinstance(scores, dict):
             raise SchemaError(f"{where}: field 'scores' must be an object")
-        scores = {str(k): float(v) for k, v in scores.items()}
+        try:
+            scores = {str(k): float(v) for k, v in scores.items()}
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: field 'scores' must map names to numbers") from exc
 
     try:
         extraction = Extraction(known.get("extraction", "web"))
@@ -171,8 +165,7 @@ def parse_document(line: str, line_no: int | None = None) -> Document:
     )
 
 
-def serialize_document(doc: Document) -> str:
-    """Single-line JSON with canonical key order; empty optionals are omitted."""
+def _document_record(doc: Document) -> dict[str, Any]:
     out: dict[str, Any] = {"id": doc.id, "text": doc.text}
     if doc.language:
         out["language"] = doc.language
@@ -186,7 +179,12 @@ def serialize_document(doc: Document) -> str:
     out["extraction"] = doc.extraction.value
     if doc.metadata:
         out["metadata"] = doc.metadata
-    return json.dumps(out, ensure_ascii=False, separators=(",", ":"))
+    return out
+
+
+def serialize_document(doc: Document) -> str:
+    """Single-line JSON with canonical key order; empty optionals are omitted."""
+    return _dumps(_document_record(doc))
 
 
 def open_text(path: str | Path, mode: str = "rt") -> io.TextIOBase:
@@ -206,24 +204,48 @@ def open_text(path: str | Path, mode: str = "rt") -> io.TextIOBase:
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def read_documents(path: str | Path) -> Iterator[Document]:
-    """Stream documents from a JSONL (optionally .gz) file."""
+# The record-file format shared by every JSONL file the program reads or
+# writes: UTF-8 (gzip'd when the name ends in .gz), one compact JSON object
+# per LF-terminated line, blank lines skipped on reading.
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """(line number, object) for each non-blank line. Raises ParseError for
+    malformed JSON and SchemaError for a value that is not an object, each
+    naming `path:line`."""
     with open_text(path, "rt") as handle:
         for line_no, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            yield parse_document(line, line_no=line_no)
+            if line.strip():
+                yield line_no, _loads(line, f"{path}:{line_no}")
 
 
-def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
-    """Write documents as JSONL (LF endings). Returns number written."""
+def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> int:
+    """Write one record per line; returns the number written."""
     n = 0
     with open_text(path, "wt") as handle:
-        for doc in docs:
-            handle.write(serialize_document(doc))
+        for record in records:
+            handle.write(_dumps(record))
             handle.write("\n")
             n += 1
     return n
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """One JSON document: UTF-8, indent 2, sorted keys, trailing newline."""
+    with open_text(path, "wt") as handle:
+        json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def read_documents(path: str | Path) -> Iterator[Document]:
+    """Stream documents from a JSONL (optionally .gz) file."""
+    for line_no, obj in read_jsonl(path):
+        yield _document_from_record(obj, f"{path}:{line_no}")
+
+
+def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
+    """Write documents as JSONL. Returns number written."""
+    return write_jsonl(path, map(_document_record, docs))
 
 
 def canonicalize(
@@ -236,16 +258,12 @@ def canonicalize(
     given dataset or extraction kind replaces the document's own, a given
     language only fills in a missing one."""
     for doc in docs:
-        yield Document(
-            id=doc.id,
-            text=doc.text,
+        yield replace(
+            doc,
             language=doc.language or language,
             num_words=None,
             dataset=dataset or doc.dataset,
-            source_url=doc.source_url,
-            scores=doc.scores,
             extraction=extraction or doc.extraction,
-            metadata=doc.metadata,
         )
 
 

@@ -6,7 +6,6 @@ set of triggered rules for each document.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import unicodedata
@@ -17,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 from urllib.parse import urlsplit
 
 from .config import NOT_A_KEY
-from .documents import Document, Extraction
+from .documents import Document, Extraction, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -219,10 +218,4 @@ def filter_documents(
 
 def write_drop_report(path: str | Path, dropped: Iterable[tuple[str, tuple[str, ...]]]) -> int:
     """JSONL report of {id, reasons} for dropped documents."""
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for doc_id, reasons in dropped:
-            handle.write(json.dumps({"id": doc_id, "reasons": list(reasons)}, ensure_ascii=False))
-            handle.write("\n")
-            n += 1
-    return n
+    return write_jsonl(path, ({"id": i, "reasons": list(r)} for i, r in dropped))

@@ -303,6 +303,8 @@ def write_model(lm: NGramLM, path: str | Path) -> None:
 
 
 def read_model(path: str | Path) -> NGramLM:
+    """Raises ModelFormatError, and no other error, for a file that does not
+    decode as a model."""
     data = Path(path).read_bytes()
     view = memoryview(data)
     if len(data) < 4 or bytes(view[:4]) != MAGIC:
@@ -318,26 +320,33 @@ def read_model(path: str | Path) -> NGramLM:
         pos += size
         return vals
 
+    def text(size: int, what: str) -> str:
+        nonlocal pos
+        if pos + size > len(data):
+            raise ModelFormatError(f"{path}: truncated {what}")
+        try:
+            value = bytes(view[pos : pos + size]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: {what} is not UTF-8") from exc
+        pos += size
+        return value
+
     (version, order) = take("<II")
     if version != VERSION:
         raise ModelFormatError(f"{path}: unsupported model version {version}")
+    if order < 2:
+        raise ModelFormatError(f"{path}: model order {order} is below 2")
     (h_ref,) = take("<d")
-    (vocab_len,) = take("<I")
-    if pos + vocab_len > len(data):
-        raise ModelFormatError(f"{path}: truncated vocabulary")
-    vocab = set(bytes(view[pos : pos + vocab_len]).decode("utf-8"))
-    pos += vocab_len
+    vocab = set(text(*take("<I"), "vocabulary"))
     levels = []
-    for _ in range(order):
+    for m in range(1, order + 1):
         (n_entries,) = take("<Q")
         table: Counter = Counter()
         for _ in range(n_entries):
-            (gram_len,) = take("<H")
-            if pos + gram_len > len(data):
-                raise ModelFormatError(f"{path}: truncated gram entry")
-            gram = bytes(view[pos : pos + gram_len]).decode("utf-8")
-            pos += gram_len
+            gram = text(*take("<H"), "gram entry")
             (count,) = take("<Q")
+            if len(gram) != m or count == 0:
+                raise ModelFormatError(f"{path}: bad order-{m} entry {gram!r}")
             table[gram] = count
         levels.append(table)
     if pos != len(data):

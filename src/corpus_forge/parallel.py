@@ -4,13 +4,14 @@ and threshold filtering on externally supplied pair scores."""
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .documents import SchemaError, read_jsonl, write_jsonl
 
 # Score keys recognized in SentencePair.scores (see the pairs JSONL schema).
 MARGIN_KEY = "margin"
@@ -122,29 +123,26 @@ def read_pairs(path: str | Path) -> Iterator[SentencePair]:
                     raise ValueError(f"{path}:{line_no}: expected src TAB tgt")
                 yield SentencePair(src=cols[0], tgt=cols[1])
         return
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "src" not in obj or "tgt" not in obj:
-                raise ValueError(f"{path}:{line_no}: pair needs 'src' and 'tgt'")
+    for line_no, obj in read_jsonl(path):
+        if not (isinstance(obj.get("src"), str) and isinstance(obj.get("tgt"), str)):
+            raise SchemaError(f"{path}:{line_no}: pair needs string 'src' and 'tgt'")
+        try:
             scores = {str(k): float(v) for k, v in (obj.get("scores") or {}).items()}
-            yield SentencePair(
-                src=obj["src"], tgt=obj["tgt"], scores=scores, origin=obj.get("origin", "")
-            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}:{line_no}: 'scores' must map names to numbers") from exc
+        yield SentencePair(
+            src=obj["src"], tgt=obj["tgt"], scores=scores, origin=obj.get("origin", "")
+        )
+
+
+def _pair_record(pair: SentencePair) -> dict:
+    record = {"src": pair.src, "tgt": pair.tgt}
+    if pair.scores:
+        record["scores"] = pair.scores
+    if pair.origin:
+        record["origin"] = pair.origin
+    return record
 
 
 def write_pairs(path: str | Path, pairs: Iterable[SentencePair]) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for pair in pairs:
-            record = {"src": pair.src, "tgt": pair.tgt}
-            if pair.scores:
-                record["scores"] = pair.scores
-            if pair.origin:
-                record["origin"] = pair.origin
-            handle.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-            handle.write("\n")
-            n += 1
-    return n
+    return write_jsonl(path, map(_pair_record, pairs))

@@ -31,6 +31,7 @@ from .documents import (
     corpus_stats,
     read_documents,
     write_documents,
+    write_json,
 )
 from .embeddings import EmbeddingConfig
 from .filters import FilterConfig, filter_documents, write_drop_report
@@ -218,9 +219,10 @@ class RunReport:
 
 
 class _StageDir:
-    """Collects outputs under stage_dir; files are written as .partial and
-    renamed on success so failures leave partials behind. On success every
-    other file in the directory is deleted, so it holds this run's outputs."""
+    """One stage's output directory, made and finalized by `run_pipeline`.
+    The stage writes each output to `path(name)`, a .partial file renamed on
+    success so failures leave partials behind. On success every other file in
+    the directory is deleted, so it holds this run's outputs."""
 
     def __init__(self, out_dir: Path, stage: str):
         self.dir = out_dir / stage
@@ -244,8 +246,8 @@ class _StageDir:
         return finals
 
 
-def _rel_paths(paths: list[Path], root: Path) -> list[str]:
-    return [str(p.relative_to(root)) for p in paths]
+# What a stage function returns: its (input, kept, dropped) counts.
+Counts = tuple[int, int, int]
 
 
 def _scores_fluency(cfg: PipelineConfig, ds: DatasetSpec) -> bool:
@@ -272,37 +274,29 @@ def _docs(cfg: PipelineConfig, stage: str, ds: DatasetSpec) -> Iterator[Document
     return read_documents(_input_path(cfg, stage, ds))
 
 
-def _stage_ingest(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "ingest")
+def _stage_ingest(cfg: PipelineConfig, out: _StageDir) -> Counts:
     total = 0
     for ds in cfg.datasets:
         docs = canonicalize(read_documents(ds.path), ds.name, ds.language, ds.extraction)
-        total += write_documents(stage.path(f"{ds.name}.jsonl"), docs)
-    finals = stage.finalize()
-    return StageResult("ingest", total, total, 0, _rel_paths(finals, cfg.output_dir))
+        total += write_documents(out.path(f"{ds.name}.jsonl"), docs)
+    return total, total, 0
 
 
-def _stage_filter(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "filter")
+def _stage_filter(cfg: PipelineConfig, out: _StageDir) -> Counts:
     fcfg = cfg.filters.with_wordlists()
     kept_n = 0
     dropped: list[tuple[str, tuple[str, ...]]] = []
     for ds in cfg.datasets:
         survivors = filter_documents(_docs(cfg, "filter", ds), fcfg, dropped)
-        kept_n += write_documents(stage.path(f"{ds.name}.jsonl"), survivors)
-    write_drop_report(stage.path("drop_report.jsonl"), dropped)
-    finals = stage.finalize()
-    total = kept_n + len(dropped)
-    return StageResult("filter", total, kept_n, len(dropped),
-                       _rel_paths(finals, cfg.output_dir))
+        kept_n += write_documents(out.path(f"{ds.name}.jsonl"), survivors)
+    write_drop_report(out.path("drop_report.jsonl"), dropped)
+    return kept_n + len(dropped), kept_n, len(dropped)
 
 
-def _stage_fluency(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "fluency")
+def _stage_fluency(cfg: PipelineConfig, out: _StageDir) -> Counts:
     fl = cfg.fluency
     if not fl.enabled:
-        stage.finalize()
-        return StageResult("fluency", 0, 0, 0, [])
+        return 0, 0, 0
 
     if fl.model_path is not None:
         lm = fluency.read_model(fl.model_path)
@@ -318,7 +312,7 @@ def _stage_fluency(cfg: PipelineConfig) -> StageResult:
         lm = fluency.train_ngram_lm(
             train_docs, order=fl.order, holdout_fraction=fl.holdout_fraction, seed=cfg.seed
         )
-        fluency.write_model(lm, stage.path("model.nglm"))
+        fluency.write_model(lm, out.path("model.nglm"))
 
     threshold = cfg.filters.fluency_threshold
     kept_n = 0
@@ -327,38 +321,30 @@ def _stage_fluency(cfg: PipelineConfig) -> StageResult:
         if not _scores_fluency(cfg, ds):
             continue
         survivors = fluency.drop_disfluent(lm, _docs(cfg, "fluency", ds), threshold, dropped)
-        kept_n += write_documents(stage.path(f"{ds.name}.jsonl"), survivors)
-    write_drop_report(stage.path("drop_report.jsonl"), dropped)
-    finals = stage.finalize()
-    total = kept_n + len(dropped)
-    return StageResult("fluency", total, kept_n, len(dropped),
-                       _rel_paths(finals, cfg.output_dir))
+        kept_n += write_documents(out.path(f"{ds.name}.jsonl"), survivors)
+    write_drop_report(out.path("drop_report.jsonl"), dropped)
+    return kept_n + len(dropped), kept_n, len(dropped)
 
 
-def _stage_dedup(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "dedup")
+def _stage_dedup(cfg: PipelineConfig, out: _StageDir) -> Counts:
     dcfg = replace(cfg.dedup, seed=cfg.seed)
     datasets = [(ds.name, _docs(cfg, "dedup", ds)) for ds in cfg.datasets]
     skip = [ds.name for ds in cfg.datasets if ds.pre_deduplicated]
     result = dedup.dedup_corpus(datasets, dcfg, skip_intra=skip)
-    dedup.write_dedup_outputs(stage.path, result, dcfg)
+    dedup.write_dedup_outputs(out.path, result, dcfg)
 
     by_dataset: dict[str, list[Document]] = {ds.name: [] for ds in cfg.datasets}
     for doc in result.survivors:
         by_dataset[doc.dataset].append(doc)
     for ds in cfg.datasets:
-        write_documents(stage.path(f"{ds.name}.jsonl"), by_dataset[ds.name])
+        write_documents(out.path(f"{ds.name}.jsonl"), by_dataset[ds.name])
     summary = {st: rep.summary() for st, rep in result.reports.items()}
-    _write_json(stage.path("summary.json"), summary)
-    finals = stage.finalize()
-    total = len(result.ids)
-    kept_n = len(result.survivors)
-    return StageResult("dedup", total, kept_n, total - kept_n,
-                       _rel_paths(finals, cfg.output_dir))
+    write_json(out.path("summary.json"), summary)
+    total, kept_n = len(result.ids), len(result.survivors)
+    return total, kept_n, total - kept_n
 
 
-def _stage_parallel(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "parallel")
+def _stage_parallel(cfg: PipelineConfig, out: _StageDir) -> Counts:
     pcfg = cfg.parallel
     pairs = list(parallel.read_pairs(pcfg.path))
     total = len(pairs)
@@ -370,9 +356,9 @@ def _stage_parallel(cfg: PipelineConfig) -> StageResult:
         pairs, dedup_report = parallel.dedup_parallel(pairs)
         filtered = len(pairs)
         pairs = parallel.threshold_filter(pairs, pcfg)
-    parallel.write_pairs(stage.path("pairs.jsonl"), pairs)
-    _write_json(
-        stage.path("report.json"),
+    parallel.write_pairs(out.path("pairs.jsonl"), pairs)
+    write_json(
+        out.path("report.json"),
         {
             "order": pcfg.order,
             "input": total,
@@ -381,9 +367,7 @@ def _stage_parallel(cfg: PipelineConfig) -> StageResult:
             "dedup": dedup_report,
         },
     )
-    finals = stage.finalize()
-    return StageResult("parallel", total, len(pairs), total - len(pairs),
-                       _rel_paths(finals, cfg.output_dir))
+    return total, len(pairs), total - len(pairs)
 
 
 def _take_docs(
@@ -402,8 +386,7 @@ def _greek_datasets(cfg: PipelineConfig) -> list[DatasetSpec]:
     return [ds for ds in cfg.datasets if ds.language == "el"] or cfg.datasets
 
 
-def _stage_tokenizer(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "tokenizer")
+def _stage_tokenizer(cfg: PipelineConfig, out: _StageDir) -> Counts:
     t = cfg.tokenizer
     if t.base_vocab_path is not None:
         base = bpe.load_vocab(t.base_vocab_path)
@@ -412,20 +395,20 @@ def _stage_tokenizer(cfg: PipelineConfig) -> StageResult:
     else:
         base_ds = [ds for ds in cfg.datasets if ds.name == t.base_dataset]
         base_docs = _take_docs(cfg, "tokenizer", base_ds, t.max_train_docs)
-        base = bpe.train_bpe(base_docs, t.base_target_tokens, seed=cfg.seed)
+        base = bpe.train_bpe(base_docs, t.base_target_tokens)
     greek = _greek_datasets(cfg)
     train_docs = _take_docs(cfg, "tokenizer", greek, t.max_train_docs)
-    learned = bpe.train_bpe(train_docs, t.new_target_tokens, seed=cfg.seed)
+    learned = bpe.train_bpe(train_docs, t.new_target_tokens)
     ext = bpe.extend_vocab(base, learned)
 
-    bpe.save_vocab(base, stage.path("base_vocab.json"))
-    bpe.save_vocab(ext, stage.path("extended_vocab.json"))
+    bpe.save_vocab(base, out.path("base_vocab.json"))
+    bpe.save_vocab(ext, out.path("extended_vocab.json"))
 
     sample = _take_docs(cfg, "tokenizer", greek, t.fertility_sample_docs)
     base_tokens, base_words = bpe.fertility_counts(bpe.ExtendedVocab.from_base(base), sample)
     ext_tokens, ext_words = bpe.fertility_counts(ext, sample)
-    _write_json(
-        stage.path("fertility.json"),
+    write_json(
+        out.path("fertility.json"),
         {
             "sample_docs": len(sample),
             "sample_words": base_words,
@@ -435,13 +418,11 @@ def _stage_tokenizer(cfg: PipelineConfig) -> StageResult:
             "extended_vocab_size": ext.total_size,
         },
     )
-    finals = stage.finalize()
     n = len(train_docs)
-    return StageResult("tokenizer", n, n, 0, _rel_paths(finals, cfg.output_dir))
+    return n, n, 0
 
 
-def _stage_embedding(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "embedding")
+def _stage_embedding(cfg: PipelineConfig, out: _StageDir) -> Counts:
     e = cfg.embedding
     base_vocab = bpe.load_vocab(cfg.output_dir / "tokenizer" / "base_vocab.json")
     ext = bpe.load_vocab(cfg.output_dir / "tokenizer" / "extended_vocab.json")
@@ -455,7 +436,7 @@ def _stage_embedding(cfg: PipelineConfig) -> StageResult:
         )
     grown = embeddings.init_new_embeddings(base_input, base_vocab, ext)
     padded = embeddings.pad_to_multiple(grown, e.pad_multiple)
-    embeddings.write_matrix(padded, stage.path("input_embeddings.emb"))
+    embeddings.write_matrix(padded, out.path("input_embeddings.emb"))
     info = {"input_embeddings": embeddings.matrix_info(padded), "tie_lm_head": e.tie_lm_head}
 
     if not e.tie_lm_head:
@@ -468,27 +449,21 @@ def _stage_embedding(cfg: PipelineConfig) -> StageResult:
         head = embeddings.pad_to_multiple(
             embeddings.init_new_embeddings(base_head, base_vocab, ext), e.pad_multiple
         )
-        embeddings.write_matrix(head, stage.path("lm_head.emb"))
+        embeddings.write_matrix(head, out.path("lm_head.emb"))
         info["lm_head"] = embeddings.matrix_info(head)
-    _write_json(stage.path("info.json"), info)
-    finals = stage.finalize()
-    rows = padded.rows
-    return StageResult("embedding", rows, rows, 0, _rel_paths(finals, cfg.output_dir))
+    write_json(out.path("info.json"), info)
+    return padded.rows, padded.rows, 0
 
 
-def _stage_plan(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "plan")
+def _stage_plan(cfg: PipelineConfig, out: _StageDir) -> Counts:
     plans = schedule.builtin_plans()
     for name, plan in plans.items():
-        schedule.export_plan_json(plan, stage.path(f"{name}.json"))
-        schedule.export_plan_csv(plan, stage.path(f"{name}.csv"))
-    finals = stage.finalize()
-    n = len(plans)
-    return StageResult("plan", n, n, 0, _rel_paths(finals, cfg.output_dir))
+        schedule.export_plan_json(plan, out.path(f"{name}.json"))
+        schedule.export_plan_csv(plan, out.path(f"{name}.csv"))
+    return len(plans), len(plans), 0
 
 
-def _stage_alignment(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "alignment")
+def _stage_alignment(cfg: PipelineConfig, out: _StageDir) -> Counts:
     a = cfg.alignment
     examples = align_mod.read_preferences(a.preferences_path)
     kept, report = align_mod.curate_preferences(
@@ -496,16 +471,13 @@ def _stage_alignment(cfg: PipelineConfig) -> StageResult:
     )
     pool = align_mod.load_system_messages(a.system_messages_path)
     assigned = [align_mod.assign_system_message(ex, pool, seed=cfg.seed) for ex in kept]
-    align_mod.write_preferences(stage.path("curated.jsonl"), assigned)
-    align_mod.write_rendered(stage.path("rendered.jsonl"), assigned)
-    _write_json(stage.path("report.json"), report)
-    finals = stage.finalize()
-    return StageResult("alignment", report["input"], report["kept"], report["dropped"],
-                       _rel_paths(finals, cfg.output_dir))
+    align_mod.write_preferences(out.path("curated.jsonl"), assigned)
+    align_mod.write_rendered(out.path("rendered.jsonl"), assigned)
+    write_json(out.path("report.json"), report)
+    return report["input"], report["kept"], report["dropped"]
 
 
-def _stage_stats(cfg: PipelineConfig) -> StageResult:
-    stage = _StageDir(cfg.output_dir, "stats")
+def _stage_stats(cfg: PipelineConfig, out: _StageDir) -> Counts:
     vocab = bpe.load_vocab(cfg.output_dir / "tokenizer" / "extended_vocab.json")
     every = cfg.stats.sample_every
 
@@ -516,17 +488,15 @@ def _stage_stats(cfg: PipelineConfig) -> StageResult:
                     yield doc
 
     stats = corpus_stats(sampled(), vocab)
-    _write_json(
-        stage.path("corpus_stats.json"),
+    write_json(
+        out.path("corpus_stats.json"),
         {
             "sample_every": every,
             **stats.as_dict(),
             "percentages_rounded_pp": stats.rounded_percentages(),
         },
     )
-    finals = stage.finalize()
-    n = stats.total_tokens
-    return StageResult("stats", n, n, 0, _rel_paths(finals, cfg.output_dir))
+    return stats.total_tokens, stats.total_tokens, 0
 
 
 _STAGE_FUNCS = {
@@ -542,12 +512,6 @@ _STAGE_FUNCS = {
     "stats": _stage_stats,
 }
 STAGE_NAMES = tuple(_STAGE_FUNCS)  # in run order
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
@@ -567,17 +531,19 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(seed=cfg.seed)
     for name in cfg.stages:
-        fn = _STAGE_FUNCS[name]
         started = time.perf_counter()
         try:
-            result = fn(cfg)
+            out = _StageDir(cfg.output_dir, name)
+            counts = _STAGE_FUNCS[name](cfg, out)
+            finals = out.finalize()
         except Exception as exc:
             raise StageError(name, exc) from exc
+        result = StageResult(name, *counts, [str(p.relative_to(cfg.output_dir)) for p in finals])
         log.info(
             "stage %-10s input=%-8d kept=%-8d dropped=%-6d (%.1fs)",
             name, result.input, result.kept, result.dropped,
             time.perf_counter() - started,
         )
         report.stages.append(result)
-    _write_json(cfg.output_dir / "run_report.json", asdict(report))
+    write_json(cfg.output_dir / "run_report.json", asdict(report))
     return report

@@ -8,13 +8,14 @@ trainer can consume.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from .documents import write_json
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,7 @@ def plan_descriptor(plan: StagePlan) -> dict:
 
 
 def export_plan_json(plan: StagePlan, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(plan_descriptor(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, plan_descriptor(plan))
 
 
 def export_plan_csv(plan: StagePlan, path: str | Path) -> None:

@@ -7,13 +7,12 @@ noisy preference data so every pipeline stage has work to do.
 
 from __future__ import annotations
 
-import json
 import shutil
 from pathlib import Path
 
 import numpy as np
 
-from .documents import Document, serialize_document
+from .documents import Document, write_documents, write_json, write_jsonl
 
 _GREEK_FUNCTION = (
     "και να το η ο του της των με σε για από που δεν είναι θα τα οι στο στη "
@@ -369,18 +368,9 @@ def write_demo_corpus(out_dir: str | Path, n_docs: int = 2_000, seed: int = 42) 
 
     datasets = make_demo_datasets(n_docs=n_docs, seed=seed)
     for name, docs in datasets.items():
-        with open(out / f"{name}.jsonl", "w", encoding="utf-8", newline="\n") as handle:
-            for doc in docs:
-                handle.write(serialize_document(doc))
-                handle.write("\n")
-
-    with open(out / "parallel.jsonl", "w", encoding="utf-8", newline="\n") as handle:
-        for pair in make_parallel_pairs(max(200, n_docs // 4), seed=seed + 1):
-            handle.write(json.dumps(pair, ensure_ascii=False, separators=(",", ":")) + "\n")
-
-    with open(out / "preferences.jsonl", "w", encoding="utf-8", newline="\n") as handle:
-        for record in make_preferences(max(200, n_docs // 8), seed=seed + 2):
-            handle.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+        write_documents(out / f"{name}.jsonl", docs)
+    write_jsonl(out / "parallel.jsonl", make_parallel_pairs(max(200, n_docs // 4), seed=seed + 1))
+    write_jsonl(out / "preferences.jsonl", make_preferences(max(200, n_docs // 8), seed=seed + 2))
 
     for fname in ("bad_words_sample.txt", "url_blacklist_sample.txt", "system_messages_el.json"):
         shutil.copy(data_dir / fname, out / fname)
@@ -422,8 +412,5 @@ def write_demo_corpus(out_dir: str | Path, n_docs: int = 2_000, seed: int = 42) 
         "stats": {"sample_every": 20},
     }
     config_path = out / "config.json"
-    config_path.write_text(
-        json.dumps(config, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(config_path, config)
     return config_path

@@ -50,8 +50,8 @@ def test_hand_traced_merge_sequence():
 
 def test_training_deterministic(tmp_path):
     docs = [_doc("το καλοκαίρι ήρθε νωρίς φέτος και η θάλασσα ζεστή")]
-    v1 = train_bpe(docs, 20, seed=1)
-    v2 = train_bpe(docs, 20, seed=99)  # seed must not matter
+    v1 = train_bpe(docs, 20)
+    v2 = train_bpe(docs, 20)
     assert v1.merges == v2.merges
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_vocab(v1, p1)

@@ -1,10 +1,14 @@
 import gzip
 import json
+import re
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus_forge.alignment import Category, PreferenceExample, read_preferences, write_preferences
+from corpus_forge.cli import main
 from corpus_forge.documents import (
     CorpusStats,
     Document,
@@ -17,6 +21,7 @@ from corpus_forge.documents import (
     serialize_document,
     write_documents,
 )
+from corpus_forge.parallel import SentencePair, read_pairs, write_pairs
 
 
 def test_parse_counts_words():
@@ -117,8 +122,78 @@ def test_gzip_roundtrip_deterministic(tmp_path):
 def test_read_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id":"a","text":"x"}\n{broken\n', encoding="utf-8")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: malformed JSON")):
         list(read_documents(path))
+
+
+# Strings that JSON must escape or that a line-oriented reader could split on.
+_field = st.text(
+    alphabet=st.sampled_from(list("αβγάέΩς ab\n\t\r\u2028\u2029\"\\"))
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=20,
+).map(lambda s: unicodedata.normalize("NFC", s))
+_number = st.floats(allow_nan=False, allow_infinity=False)
+_scores = st.dictionaries(_field, _number, max_size=2)
+
+_documents = st.builds(
+    Document, id=_field, text=_field, language=_field, dataset=_field,
+    source_url=st.none() | _field, scores=st.none() | _scores,
+    extraction=st.sampled_from(list(Extraction)),
+    metadata=st.dictionaries(_field, _field, max_size=2),
+)
+_pairs = st.builds(SentencePair, src=_field, tgt=_field, scores=_scores, origin=_field)
+_preferences = st.builds(
+    PreferenceExample, prompt=_field, chosen=_field, rejected=_field,
+    system=st.none() | _field, chosen_rating=st.none() | _number,
+    rejected_rating=st.none() | _number, category=st.sampled_from(list(Category)),
+    language=_field, id=_field,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=st.lists(_documents, max_size=4), pairs=st.lists(_pairs, max_size=4),
+       prefs=st.lists(_preferences, max_size=4))
+def test_record_files_round_trip(tmp_path_factory, docs, pairs, prefs):
+    out = tmp_path_factory.mktemp("records")
+    for records, write, read in ((docs, write_documents, read_documents),
+                                 (pairs, write_pairs, read_pairs),
+                                 (prefs, write_preferences, read_preferences)):
+        path = out / "records.jsonl"
+        assert write(path, records) == len(records)
+        assert path.read_bytes().count(b"\n") == len(records)
+        assert list(read(path)) == records
+
+
+@pytest.mark.parametrize("command, good", [
+    (["ingest", "{path}", "--out", "{out}"], '{"id":"a","text":"ένα"}'),
+    (["parallel", "dedup", "--in", "{path}", "--out", "{out}"], '{"src":"a","tgt":"α"}'),
+    (["align", "curate", "--in", "{path}", "--out", "{out}"],
+     '{"prompt":"p","chosen":"c","rejected":"r"}'),
+    (["align", "render", "--in", "{path}", "--out", "{out}"],
+     '{"prompt":"p","chosen":"c","rejected":"r","system":"s"}'),
+], ids=["documents", "pairs", "preferences", "rendered"])
+@pytest.mark.parametrize("bad", ["5", '["x"]', '{"id": "a", "te'], ids=["int", "list", "cut"])
+def test_cli_names_path_and_line_of_a_bad_record(tmp_path, capsys, command, good, bad):
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+    argv = [arg.format(path=path, out=tmp_path / "out.jsonl") for arg in command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("read, line", [
+    (read_documents, '{"id":"a","text":"x","scores":{"fluency":"high"}}'),
+    (read_pairs, '{"src":"a","tgt":5}'),
+    (read_pairs, '{"src":"a","tgt":"b","scores":[1]}'),
+    (read_pairs, '{"src":"a","tgt":"b","scores":{"margin":"high"}}'),
+    (read_preferences, '{"prompt":1,"chosen":"c","rejected":"r"}'),
+])
+def test_bad_field_names_path_and_line(tmp_path, read, line):
+    path = tmp_path / "in.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:1: ")):
+        list(read(path))
 
 
 class _OneTokenPerWord:

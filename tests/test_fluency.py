@@ -237,3 +237,22 @@ def test_model_format_errors(tmp_path):
     trailing.write_bytes(good.read_bytes() + b"\x00")
     with pytest.raises(ModelFormatError):
         read_model(trailing)
+
+
+def test_flipped_byte_loads_or_raises_model_format_error(tmp_path):
+    # Header, vocabulary and the first gram entries: whatever one corrupt
+    # byte does, it surfaces as ModelFormatError or not at all.
+    good = tmp_path / "model.nglm"
+    write_model(_lm("καλημέρα κόσμε abab\n\nγεια σου κόσμε", order=3), good)
+    data = good.read_bytes()
+    assert len(data) > 64
+    bad = tmp_path / "flipped.nglm"
+    for i in range(64):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(data)
+            flipped[i] ^= mask
+            bad.write_bytes(flipped)
+            try:
+                read_model(bad)
+            except ModelFormatError:
+                pass

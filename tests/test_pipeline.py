@@ -280,9 +280,9 @@ def test_stage_failure_leaves_partials(demo_dir, tmp_path):
 
     original = pl._stage_parallel
 
-    def exploding(cfg_):
+    def exploding(cfg_, out):
         doomed_unlink()
-        return original(cfg_)
+        return original(cfg_, out)
 
     pl._STAGE_FUNCS["parallel"] = exploding
     try:
