@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .documents import SchemaError, read_jsonl, write_jsonl
+from .documents import SchemaError, check_field_types, read_jsonl, write_jsonl
 
 
 class Category(str, Enum):
@@ -291,9 +291,20 @@ def orpo_gradient_error(trials: int, seed: int = 0) -> float:
     return worst
 
 
+_PREFERENCE_FIELDS = {
+    "prompt": ((str,), "a string"),
+    "chosen": ((str,), "a string"),
+    "rejected": ((str,), "a string"),
+    "system": ((str, type(None)), "a string or null"),
+    "chosen_rating": ((int, float, type(None)), "a number or null"),
+    "rejected_rating": ((int, float, type(None)), "a number or null"),
+}
+
+
 def read_preferences(path: str | Path) -> list[PreferenceExample]:
     out = []
     for line_no, obj in read_jsonl(path):
+        check_field_types(obj, f"{path}:{line_no}", _PREFERENCE_FIELDS)
         try:
             out.append(
                 PreferenceExample(

@@ -377,18 +377,40 @@ def _split_merge(entry: str) -> tuple[str, str]:
     return a, b
 
 
+def _strings(payload: dict, key: str, default: list | None = None) -> list[str]:
+    value = payload[key] if default is None else payload.get(key, default)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{key!r} must be a list of strings")
+    return value
+
+
 def load_vocab(path: str | Path) -> Vocab | ExtendedVocab:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    base = Vocab(
-        tokens=payload["tokens"],
-        merges=[_split_merge(m) for m in payload["merges"]],
-        byte_fallback=payload.get("byte_fallback", True),
-    )
-    if "added_tokens" not in payload:
-        return base
-    return ExtendedVocab(
-        base=base,
-        added_tokens=payload["added_tokens"],
-        added_merges=[_split_merge(m) for m in payload.get("added_merges", [])],
-        provenance=payload.get("provenance", {}),
-    )
+    """Raises ValueError naming `path` for a file that does not decode as a
+    vocabulary: bad JSON, a missing key, a wrong type or a bad merge entry."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
+        byte_fallback = payload.get("byte_fallback", True)
+        provenance = payload.get("provenance", {})
+        if not isinstance(byte_fallback, bool):
+            raise ValueError("'byte_fallback' must be a boolean")
+        if not isinstance(provenance, dict):
+            raise ValueError("'provenance' must be an object")
+        base = Vocab(
+            tokens=_strings(payload, "tokens"),
+            merges=[_split_merge(m) for m in _strings(payload, "merges")],
+            byte_fallback=byte_fallback,
+        )
+        if "added_tokens" not in payload:
+            return base
+        return ExtendedVocab(
+            base=base,
+            added_tokens=_strings(payload, "added_tokens"),
+            added_merges=[_split_merge(m) for m in _strings(payload, "added_merges", [])],
+            provenance=provenance,
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -4,7 +4,6 @@ two-stage (within-dataset, then cross-dataset) duplicate removal."""
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -12,6 +11,7 @@ from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
+from . import binfile
 from .config import NOT_A_KEY
 from .documents import Document, write_jsonl
 from .kernels import U64_MAX, hash_byte_strings, minhash_values
@@ -370,44 +370,27 @@ def write_cluster_report(path: str | Path, report: DedupReport) -> int:
     )
 
 
-SIG_MAGIC = b"MHSG"
+SIG_MAGIC, SIG_VERSION = b"MHSG", 1
 
 
-def write_signatures(
-    path: str | Path, ids: Sequence[str], matrix: np.ndarray, cfg: DedupConfig
-) -> None:
-    """Signature cache: magic, num_perm u32, seed u64, then per document a
-    length-prefixed id and num_perm u64 values. Little-endian."""
-    with open(path, "wb") as out:
-        out.write(SIG_MAGIC)
-        out.write(struct.pack("<IQ", cfg.num_perm, cfg.seed))
+def write_signatures(path: str | Path, ids: Sequence[str], matrix: np.ndarray,
+                     cfg: DedupConfig) -> None:
+    """`MHSG` signature cache, streamed. Body (see binfile): num_perm u32, seed
+    u64, then per document a u32-length-prefixed UTF-8 id and num_perm u64s."""
+    with binfile.Writer(path, SIG_MAGIC, SIG_VERSION) as out:
+        out.pack("IQ", cfg.num_perm, cfg.seed)
         for i, doc_id in enumerate(ids):
             raw = doc_id.encode("utf-8")
-            out.write(struct.pack("<I", len(raw)))
-            out.write(raw)
+            out.pack(f"I{len(raw)}s", len(raw), raw)
             out.write(matrix[i].astype("<u8").tobytes())
 
 
 def read_signatures(path: str | Path) -> tuple[list[str], np.ndarray, int]:
-    """Returns (ids, matrix, seed)."""
-    data = Path(path).read_bytes()
-    if len(data) < 16 or data[:4] != SIG_MAGIC:
-        raise ValueError(f"{path}: not a signature cache file")
-    num_perm, seed = struct.unpack_from("<IQ", data, 4)
-    pos = 4 + 12
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    row_bytes = 8 * num_perm
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise ValueError(f"{path}: truncated id length")
-        (id_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + id_len + row_bytes > len(data):
-            raise ValueError(f"{path}: truncated signature record")
-        ids.append(data[pos : pos + id_len].decode("utf-8"))
-        pos += id_len
-        rows.append(np.frombuffer(data, dtype="<u8", count=num_perm, offset=pos).copy())
-        pos += row_bytes
-    matrix = np.vstack(rows) if rows else np.empty((0, num_perm), dtype=np.uint64)
-    return ids, matrix, seed
+    """Returns (ids, matrix, seed); raises binfile.FormatError for a bad file."""
+    with binfile.Reader(path, SIG_MAGIC, SIG_VERSION) as r:
+        num_perm, seed = r.unpack("IQ")
+        ids, rows = [], []
+        while not r.at_end():
+            ids.append(r.text(*r.unpack("I"), "id"))
+            rows.append(r.array("<u8", num_perm, "signature record"))
+    return ids, np.array(rows, dtype=np.uint64).reshape(len(ids), num_perm), seed

@@ -114,20 +114,38 @@ def parse_document(line: str, line_no: int | None = None) -> Document:
     return _document_from_record(_loads(line, where), where)
 
 
+def check_field_types(obj: Mapping[str, Any], where: str, fields: Mapping[str, tuple]) -> None:
+    """Raise SchemaError naming `where` for a key of `obj` that `fields` maps to
+    (types, description) and whose value's exact type, as json.loads makes
+    it, is none of those types; so a bool is never a number."""
+    for key, value in obj.items():
+        spec = fields.get(key)
+        if spec is not None and type(value) not in spec[0]:
+            raise SchemaError(f"{where}: field {key!r} must be {spec[1]}")
+
+
+_DOCUMENT_FIELDS = {
+    "text": ((str,), "a string"),
+    "language": ((str,), "a string"),
+    "num_words": ((int, type(None)), "an integer or null"),
+    "dataset": ((str,), "a string"),
+    "source_url": ((str, type(None)), "a string or null"),
+    "scores": ((dict, type(None)), "an object"),
+    "metadata": ((dict, type(None)), "an object"),
+}
+
+
 def _document_from_record(obj: dict[str, Any], where: str) -> Document:
     """A Document from one decoded JSONL object; error messages start with `where`."""
     if "text" not in obj:
         raise SchemaError(f"{where}: missing required field 'text'")
     if "id" not in obj:
         raise SchemaError(f"{where}: missing required field 'id'")
-    if not isinstance(obj["text"], str):
-        raise SchemaError(f"{where}: field 'text' must be a string")
+    check_field_types(obj, where, _DOCUMENT_FIELDS)
 
     known: dict[str, Any] = {}
     metadata: dict[str, Any] = {}
     explicit_meta = obj.get("metadata")
-    if explicit_meta is not None and not isinstance(explicit_meta, dict):
-        raise SchemaError(f"{where}: field 'metadata' must be an object")
     for key, value in obj.items():
         if key == "metadata":
             continue
@@ -140,8 +158,6 @@ def _document_from_record(obj: dict[str, Any], where: str) -> Document:
 
     scores = known.get("scores")
     if scores is not None:
-        if not isinstance(scores, dict):
-            raise SchemaError(f"{where}: field 'scores' must be an object")
         try:
             scores = {str(k): float(v) for k, v in scores.items()}
         except (TypeError, ValueError) as exc:
@@ -155,9 +171,9 @@ def _document_from_record(obj: dict[str, Any], where: str) -> Document:
     return Document(
         id=str(known["id"]),
         text=known["text"],
-        language=str(known.get("language", "")),
+        language=known.get("language", ""),
         num_words=known.get("num_words"),
-        dataset=str(known.get("dataset", "")),
+        dataset=known.get("dataset", ""),
         source_url=known.get("source_url"),
         scores=scores,
         extraction=extraction,

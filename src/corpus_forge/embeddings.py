@@ -3,13 +3,13 @@ initialization, multiple-of-8 padding, and a bit-exact binary matrix format."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from . import binfile
 from .bpe import ExtendedVocab, Vocab, _apply_merges
 
 
@@ -18,7 +18,7 @@ class MatrixRole(str, Enum):
     LM_HEAD = "lm_head"
 
 
-class MatrixFormatError(ValueError):
+class MatrixFormatError(binfile.FormatError):
     """Corrupt, truncated, or foreign matrix file."""
 
 
@@ -118,58 +118,30 @@ def pad_to_multiple(matrix: EmbeddingMatrix, multiple: int) -> EmbeddingMatrix:
     return EmbeddingMatrix(data=out, role=matrix.role, padding_rows=new_padding)
 
 
-MAGIC = b"EMB1"
-VERSION = 1
+MAGIC, VERSION = b"EMB1", 2
 _ROLE_CODES = {MatrixRole.INPUT_EMBEDDINGS: 0, MatrixRole.LM_HEAD: 1}
 _CODE_ROLES = {v: k for k, v in _ROLE_CODES.items()}
 
 
 def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """magic, version u32, role u8, rows u64, dims u32, row-major float32;
-    little-endian. Padding-row indices follow as a u32 count plus u64 each."""
-    with open(path, "wb") as out:
-        out.write(MAGIC)
-        out.write(struct.pack("<IBQI", VERSION, _ROLE_CODES[matrix.role], matrix.rows, matrix.dims))
+    """`EMB1` body (see binfile): role u8, rows u64, dims u32, row-major
+    float32, then the padding-row indices as a u32 count and a u64 each."""
+    with binfile.Writer(path, MAGIC, VERSION) as out:
+        out.pack("BQI", _ROLE_CODES[matrix.role], matrix.rows, matrix.dims)
         out.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
-        out.write(struct.pack("<I", len(matrix.padding_rows)))
-        for i in matrix.padding_rows:
-            out.write(struct.pack("<Q", i))
+        padding = matrix.padding_rows
+        out.pack(f"I{len(padding)}Q", len(padding), *padding)
 
 
 def read_matrix(path: str | Path) -> EmbeddingMatrix:
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise MatrixFormatError(f"{path}: not an embedding matrix file")
-    header = struct.calcsize("<IBQI")
-    if len(data) < 4 + header:
-        raise MatrixFormatError(f"{path}: truncated header")
-    version, role_code, rows, dims = struct.unpack_from("<IBQI", data, 4)
-    if version != VERSION:
-        raise MatrixFormatError(f"{path}: unsupported version {version}")
-    if role_code not in _CODE_ROLES:
-        raise MatrixFormatError(f"{path}: unknown role code {role_code}")
-    payload = rows * dims * 4
-    pos = 4 + header
-    if rows > (len(data) // 4 + 1) or pos + payload > len(data):
-        raise MatrixFormatError(f"{path}: truncated matrix payload")
-    values = np.frombuffer(data, dtype="<f4", count=rows * dims, offset=pos).copy()
-    pos += payload
-    # Padding-index block is an optional trailer; files that end at the
-    # float payload load with no padding rows recorded.
-    padding: tuple = ()
-    if pos < len(data):
-        if pos + 4 > len(data):
-            raise MatrixFormatError(f"{path}: malformed padding index block")
-        (n_pad,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + 8 * n_pad != len(data):
-            raise MatrixFormatError(f"{path}: malformed padding index block")
-        padding = struct.unpack_from(f"<{n_pad}Q", data, pos) if n_pad else ()
-    return EmbeddingMatrix(
-        data=values.reshape(rows, dims),
-        role=_CODE_ROLES[role_code],
-        padding_rows=tuple(int(i) for i in padding),
-    )
+    with binfile.Reader(path, MAGIC, VERSION, MatrixFormatError) as r:
+        role_code, rows, dims = r.unpack("BQI")
+        if role_code not in _CODE_ROLES:
+            raise r.fail(f"unknown role code {role_code}")
+        values = r.array("<f4", rows * dims, "matrix payload")
+        padding = r.array("<u8", *r.unpack("I"), "padding index block")
+        return EmbeddingMatrix(data=values.reshape(rows, dims), role=_CODE_ROLES[role_code],
+                               padding_rows=tuple(padding.tolist()))
 
 
 def matrix_info(matrix: EmbeddingMatrix) -> dict:

@@ -13,13 +13,13 @@ import hashlib
 import logging
 import math
 import re
-import struct
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import binfile
 from .documents import Document
 
 log = logging.getLogger(__name__)
@@ -37,7 +37,7 @@ class TrainError(ValueError):
     """Raised when the training corpus cannot support the requested model."""
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(binfile.FormatError):
     """Raised for corrupt or foreign model files."""
 
 
@@ -182,9 +182,6 @@ class NGramLM:
             raise ValueError("document has no scoreable paragraphs")
         return weighted / total_len
 
-    def save(self, path: str | Path) -> None:
-        write_model(self, path)
-
 
 def _holdout_pick(seed: int, index: int, fraction: float) -> bool:
     if fraction <= 0.0:
@@ -277,81 +274,41 @@ def train_ngram_lm(
     return lm
 
 
-MAGIC = b"NGLM"
-VERSION = 1
+MAGIC, VERSION = b"NGLM", 2
 
 
 def write_model(lm: NGramLM, path: str | Path) -> None:
-    """Binary model file: magic, version u32, order u32, h_ref f64, vocab,
-    then one sorted count table per order. Little-endian throughout."""
-    with open(path, "wb") as out:
-        out.write(MAGIC)
-        out.write(struct.pack("<II", VERSION, lm.order))
-        out.write(struct.pack("<d", lm.h_ref))
-        chars = "".join(sorted(lm.vocab - {UNK}))
-        blob = chars.encode("utf-8")
-        out.write(struct.pack("<I", len(blob)))
-        out.write(blob)
-        for m in range(1, lm.order + 1):
-            table = lm.level_counts[m - 1]
-            out.write(struct.pack("<Q", len(table)))
+    """`NGLM` body (see binfile): order u32, h_ref f64, the u32-length-prefixed
+    UTF-8 vocabulary, then per order a u64 entry count and the sorted entries,
+    each a u16-length-prefixed UTF-8 gram and a u64 count."""
+    with binfile.Writer(path, MAGIC, VERSION) as out:
+        out.pack("Id", lm.order, lm.h_ref)
+        blob = "".join(sorted(lm.vocab - {UNK})).encode("utf-8")
+        out.pack(f"I{len(blob)}s", len(blob), blob)
+        for table in lm.level_counts:
+            out.pack("Q", len(table))
             for gram in sorted(table):
-                gram_bytes = gram.encode("utf-8")
-                out.write(struct.pack("<H", len(gram_bytes)))
-                out.write(gram_bytes)
-                out.write(struct.pack("<Q", table[gram]))
+                raw = gram.encode("utf-8")
+                out.pack(f"H{len(raw)}sQ", len(raw), raw, table[gram])
 
 
 def read_model(path: str | Path) -> NGramLM:
     """Raises ModelFormatError, and no other error, for a file that does not
     decode as a model."""
-    data = Path(path).read_bytes()
-    view = memoryview(data)
-    if len(data) < 4 or bytes(view[:4]) != MAGIC:
-        raise ModelFormatError(f"{path}: not a fluency model file")
-    pos = 4
-
-    def take(fmt: str):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(data):
-            raise ModelFormatError(f"{path}: truncated model file")
-        vals = struct.unpack_from(fmt, data, pos)
-        pos += size
-        return vals
-
-    def text(size: int, what: str) -> str:
-        nonlocal pos
-        if pos + size > len(data):
-            raise ModelFormatError(f"{path}: truncated {what}")
-        try:
-            value = bytes(view[pos : pos + size]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"{path}: {what} is not UTF-8") from exc
-        pos += size
-        return value
-
-    (version, order) = take("<II")
-    if version != VERSION:
-        raise ModelFormatError(f"{path}: unsupported model version {version}")
-    if order < 2:
-        raise ModelFormatError(f"{path}: model order {order} is below 2")
-    (h_ref,) = take("<d")
-    vocab = set(text(*take("<I"), "vocabulary"))
-    levels = []
-    for m in range(1, order + 1):
-        (n_entries,) = take("<Q")
-        table: Counter = Counter()
-        for _ in range(n_entries):
-            gram = text(*take("<H"), "gram entry")
-            (count,) = take("<Q")
-            if len(gram) != m or count == 0:
-                raise ModelFormatError(f"{path}: bad order-{m} entry {gram!r}")
-            table[gram] = count
-        levels.append(table)
-    if pos != len(data):
-        raise ModelFormatError(f"{path}: trailing bytes after model data")
-    return NGramLM(order=order, level_counts=levels, vocab=vocab, h_ref=h_ref)
+    with binfile.Reader(path, MAGIC, VERSION, ModelFormatError) as r:
+        order, h_ref = r.unpack("Id")
+        vocab = set(r.text(*r.unpack("I"), "vocabulary"))
+        levels = []
+        for m in range(1, order + 1):
+            table: Counter = Counter()
+            for _ in range(*r.unpack("Q")):
+                gram = r.text(*r.unpack("H"), "gram entry")
+                (count,) = r.unpack("Q")
+                if len(gram) != m or count == 0:
+                    raise r.fail(f"bad order-{m} entry {gram!r}")
+                table[gram] = count
+            levels.append(table)
+        return NGramLM(order=order, level_counts=levels, vocab=vocab, h_ref=h_ref)
 
 
 def score_documents(lm: NGramLM, docs: Iterable[Document]) -> Iterator[Document]:

@@ -16,6 +16,7 @@ from corpus_forge.bpe import (
     save_vocab,
     train_bpe,
 )
+from corpus_forge.cli import main
 from corpus_forge.documents import Document
 
 
@@ -217,6 +218,28 @@ def test_vocab_json_roundtrip(tmp_path):
     payload = json.loads(ext_path.read_text(encoding="utf-8"))
     assert payload["byte_fallback"] is True
     assert "added_tokens" in payload
+
+
+@pytest.mark.parametrize("payload", [
+    "{}",
+    '{"tokens": 5, "merges": []}',
+    '{"tokens": ["a"',
+    "[]",
+    '{"tokens": ["a", 7], "merges": []}',
+    '{"tokens": ["a", "b", "ab"], "merges": ["ab"]}',
+    '{"tokens": ["a", "b", "ab"], "merges": [["a", "b"]]}',
+    '{"tokens": ["a"], "merges": [], "byte_fallback": "yes"}',
+    '{"tokens": ["a"], "merges": [], "added_tokens": "b"}',
+    '{"tokens": ["a"], "merges": [], "added_tokens": [], "provenance": []}',
+    '{"tokens": ["a"], "merges": [], "added_tokens": ["b"], "added_merges": ["a"]}',
+], ids=["empty", "tokens-int", "cut", "list", "token-int", "merge-unsplit", "merge-list",
+        "fallback-str", "added-str", "provenance-list", "added-merge"])
+def test_cli_names_the_path_of_a_malformed_vocabulary(tmp_path, capsys, payload):
+    path = tmp_path / "v.json"
+    path.write_text(payload, encoding="utf-8")
+    assert main(["tok", "encode", "--vocab", str(path), "--text", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
 
 def test_vocab_validation():

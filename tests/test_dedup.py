@@ -6,6 +6,7 @@ from helpers import build_cluster_corpus, oracle_clusters
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus_forge.binfile import FormatError
 from corpus_forge.dedup import (
     DedupConfig,
     _cluster,
@@ -351,13 +352,9 @@ def test_truncated_signature_cache_rejected(tmp_path):
     path = tmp_path / "sigs.mhsg"
     write_signatures(path, ["a", "b"], np.arange(8, dtype=np.uint64).reshape(2, 4), cfg)
     data = path.read_bytes()
-    record = 4 + 1 + 8 * 4
-    assert len(data) == 16 + 2 * record
-    for cut in range(len(data)):
-        if cut in (16, 16 + record):
-            continue  # a whole number of records is a valid file
+    for cut in range(len(data)):  # record boundaries included
         path.write_bytes(data[:cut])
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             read_signatures(path)
 
 

@@ -172,7 +172,10 @@ def test_record_files_round_trip(tmp_path_factory, docs, pairs, prefs):
     (["align", "render", "--in", "{path}", "--out", "{out}"],
      '{"prompt":"p","chosen":"c","rejected":"r","system":"s"}'),
 ], ids=["documents", "pairs", "preferences", "rendered"])
-@pytest.mark.parametrize("bad", ["5", '["x"]', '{"id": "a", "te'], ids=["int", "list", "cut"])
+@pytest.mark.parametrize("bad", [
+    "5", '["x"]', '{"id": "a", "te',
+    '{"prompt": "p", "chosen": "c", "rejected": "r", "chosen_rating": "x"}',
+], ids=["int", "list", "cut", "rating"])
 def test_cli_names_path_and_line_of_a_bad_record(tmp_path, capsys, command, good, bad):
     path = tmp_path / "in.jsonl"
     path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
@@ -188,6 +191,16 @@ def test_cli_names_path_and_line_of_a_bad_record(tmp_path, capsys, command, good
     (read_pairs, '{"src":"a","tgt":"b","scores":[1]}'),
     (read_pairs, '{"src":"a","tgt":"b","scores":{"margin":"high"}}'),
     (read_preferences, '{"prompt":1,"chosen":"c","rejected":"r"}'),
+    (read_documents, '{"id":"a","text":"x","source_url":5}'),
+    (read_documents, '{"id":"a","text":"x","num_words":true}'),
+    (read_documents, '{"id":"a","text":"x","num_words":1.5}'),
+    (read_documents, '{"id":"a","text":"x","language":null}'),
+    (read_documents, '{"id":"a","text":"x","dataset":["d"]}'),
+    (read_preferences, '{"prompt":"p","chosen":["c"],"rejected":"r"}'),
+    (read_preferences, '{"prompt":"p","chosen":"c","rejected":null}'),
+    (read_preferences, '{"prompt":"p","chosen":"c","rejected":"r","system":1}'),
+    (read_preferences, '{"prompt":"p","chosen":"c","rejected":"r","chosen_rating":"x"}'),
+    (read_preferences, '{"prompt":"p","chosen":"c","rejected":"r","rejected_rating":false}'),
 ])
 def test_bad_field_names_path_and_line(tmp_path, read, line):
     path = tmp_path / "in.jsonl"

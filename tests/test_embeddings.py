@@ -156,21 +156,6 @@ def test_zero_matrix_roundtrips(tmp_path):
     assert (read_matrix(path).data == 0).all()
 
 
-def test_minimal_file_without_padding_trailer(tmp_path):
-    # Header + float payload only: loads with no padding rows recorded.
-    import struct
-
-    path = tmp_path / "min.emb"
-    data = np.arange(6, dtype="<f4").reshape(2, 3)
-    with open(path, "wb") as out:
-        out.write(b"EMB1")
-        out.write(struct.pack("<IBQI", 1, 0, 2, 3))
-        out.write(data.tobytes())
-    loaded = read_matrix(path)
-    assert loaded.padding_rows == ()
-    assert (loaded.data == data).all()
-
-
 def test_format_errors(tmp_path):
     bad_magic = tmp_path / "bad.emb"
     bad_magic.write_bytes(b"NOPE" + b"\x00" * 40)
