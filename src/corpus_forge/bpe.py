@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .documents import SEGMENT, Document, count_words, token_count
 
@@ -64,15 +64,21 @@ def _merge_pair(
     symbols: list[str],
     pair: tuple[str, str],
     merged: str,
-    delta: defaultdict[tuple[str, str], int] | None = None,
+    idx: int,
+    freq: int,
+    changes: defaultdict[tuple[str, str], int],
+    where: defaultdict[tuple[str, str], set[int]],
 ) -> list[str]:
-    """Replace the leftmost non-overlapping occurrences of pair by merged.
+    """Replace the leftmost non-overlapping occurrences of pair in word `idx`
+    by merged.
 
-    With `delta`, the same walk adds the change in the word's adjacent-pair
-    counts: -1 for each old pair beside a merged position, +1 for each new
-    pair beside a merged symbol. Pairs away from the merges keep their
-    counts. The entry for `pair` itself is incomplete; no occurrence of it
-    survives the walk.
+    The same walk adds the change in pair counts into `changes`: -freq for
+    each old pair beside a merged position, +freq for each new pair beside a
+    merged symbol, and each new pair's `where` set gains the word. Pairs away
+    from the merges keep their counts. The entry for `pair` itself is
+    incomplete; no occurrence of it survives the walk. Every word shares the
+    caller's `merged` string, and each new pair is one tuple keying both
+    tables, so training holds no copies of either.
     """
     a, b = pair
     out: list[str] = []
@@ -80,19 +86,22 @@ def _merge_pair(
     i, n = 0, len(symbols)
     while i < n:
         if i + 1 < n and symbols[i] == a and symbols[i + 1] == b:
-            if delta is not None:
-                if out:
-                    delta[out[-1], merged] += 1
-                    if not joined:  # else the previous merge counted (b, a)
-                        delta[out[-1], a] -= 1
-                if i + 2 < n:
-                    delta[b, symbols[i + 2]] -= 1
+            if out:
+                new = out[-1], merged
+                changes[new] += freq
+                where[new].add(idx)
+                if not joined:  # else the previous merge counted (b, a)
+                    changes[out[-1], a] -= freq
+            if i + 2 < n:
+                changes[b, symbols[i + 2]] -= freq
             out.append(merged)
             i += 2
             joined = True
         else:
-            if joined and delta is not None:
-                delta[merged, symbols[i]] += 1
+            if joined:
+                new = merged, symbols[i]
+                changes[new] += freq
+                where[new].add(idx)
             out.append(symbols[i])
             i += 1
             joined = False
@@ -100,21 +109,47 @@ def _merge_pair(
 
 
 def _apply_merges(symbols: list[str], ranks: dict[tuple[str, str], int]) -> list[str]:
-    """Repeatedly apply the lowest-rank adjacent merge until none applies."""
-    if not ranks:
+    """Merge the lowest-rank adjacent pair until no ranked pair is left.
+
+    A min-heap of (rank, left position) runs over a linked list of symbols,
+    in rounds. A round pops every entry of the lowest rank and merges the
+    occurrences that still hold that rank's pair, left to right, so each
+    round merges the leftmost non-overlapping occurrences of one pair. A
+    merge pushes only the pairs it forms with its two neighbours; a pair of
+    lower rank formed mid-round waits for the next round. An entry whose
+    position was consumed or whose pair has changed is skipped.
+    """
+    n = len(symbols)
+    heap = [(r, i) for i, pair in enumerate(zip(symbols, symbols[1:]))
+            if (r := ranks.get(pair)) is not None]
+    if not heap:
         return symbols
-    while len(symbols) >= 2:
-        best_pair = None
-        best_rank = None
-        for pair in zip(symbols, symbols[1:]):
-            rank = ranks.get(pair)
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank = rank
-                best_pair = pair
-        if best_pair is None:
-            break
-        symbols = _merge_pair(symbols, best_pair, best_pair[0] + best_pair[1])
-    return symbols
+    heapq.heapify(heap)
+    sym: list[str | None] = symbols[:]
+    nxt = list(range(1, n + 1))  # n ends the list
+    prv = list(range(-1, n - 1))
+    rank_of, push, pop = ranks.get, heapq.heappush, heapq.heappop
+    while heap:
+        rank = heap[0][0]
+        batch = []
+        while heap and heap[0][0] == rank:
+            batch.append(pop(heap)[1])
+        for i in batch:
+            left = sym[i]
+            j = nxt[i]
+            if left is None or j == n or rank_of((left, sym[j])) != rank:
+                continue
+            merged = sym[i] = left + sym[j]
+            sym[j] = None
+            k = nxt[i] = nxt[j]
+            h = prv[i]
+            if h >= 0 and (r := rank_of((sym[h], merged))) is not None:
+                push(heap, (r, h))
+            if k < n:
+                prv[k] = i
+                if (r := rank_of((merged, sym[k]))) is not None:
+                    push(heap, (r, i))
+    return [s for s in sym if s is not None]
 
 
 class _SegmentEncoder:
@@ -167,6 +202,10 @@ class Vocab(_SegmentEncoder):
     def validate(self) -> None:
         if len(self.token_to_id) != len(self.tokens):
             raise ValueError("duplicate token strings in vocabulary")
+        table = bytes_to_unicode()
+        for b in range(256):
+            if table[b] not in self.token_to_id:
+                raise ValueError(f"byte token {table[b]!r} (byte {b}) missing from tokens")
         for a, b in self.merges:
             if a + b not in self.token_to_id:
                 raise ValueError(f"merge result {a + b!r} missing from tokens")
@@ -201,6 +240,9 @@ class ExtendedVocab(_SegmentEncoder):
         self._ids = dict(self.base.token_to_id)
         for i, tok in enumerate(self.added_tokens):
             self._ids[tok] = len(self.base.tokens) + i
+        for a, b in self.added_merges:
+            if a + b not in self._ids:
+                raise ValueError(f"added merge result {a + b!r} missing from tokens")
         self._strings = self.base.tokens + self.added_tokens
         self._cache = {}
 
@@ -274,13 +316,7 @@ def train_bpe(corpus: Iterable[Document], target_new_tokens: int) -> Vocab:
             token_set.add(merged)
         changes: defaultdict[tuple[str, str], int] = defaultdict(int)
         for idx in where.pop(pair):
-            delta: defaultdict[tuple[str, str], int] = defaultdict(int)
-            words[idx] = _merge_pair(words[idx], pair, merged, delta)
-            for p, d in delta.items():
-                if d:
-                    changes[p] += d * freqs[idx]
-                    if d > 0:
-                        where[p].add(idx)
+            words[idx] = _merge_pair(words[idx], pair, merged, idx, freqs[idx], changes, where)
         del stats[pair]
         for p, d in changes.items():
             if d == 0 or p == pair:
@@ -330,19 +366,22 @@ def encode(vocab: Vocab | ExtendedVocab, text: str) -> list[int]:
     return vocab.encode(text)
 
 
-def fertility_counts(vocab: Vocab | ExtendedVocab, corpus: Iterable[Document]) -> tuple[int, int]:
-    """(tokens, words) of the corpus, each distinct segment encoded once."""
+def fertility_counts(
+    vocabs: Sequence[Vocab | ExtendedVocab], corpus: Iterable[Document]
+) -> tuple[list[int], int]:
+    """(tokens under each vocabulary, words) of the corpus. The corpus is
+    segmented once and each distinct segment is encoded once per vocabulary."""
     segments: Counter[str] = Counter()
     words = 0
     for doc in corpus:
         segments.update(SEGMENT.findall(doc.text))
         words += count_words(doc.text)
-    return token_count(vocab, segments), words
+    return [token_count(vocab, segments) for vocab in vocabs], words
 
 
 def fertility(vocab: Vocab | ExtendedVocab, corpus: Iterable[Document]) -> float:
     """Total encoded tokens divided by total whitespace words."""
-    tokens, words = fertility_counts(vocab, corpus)
+    (tokens,), words = fertility_counts([vocab], corpus)
     if words == 0:
         raise ValueError("corpus contains no words")
     return tokens / words

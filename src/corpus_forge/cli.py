@@ -178,9 +178,7 @@ def _cmd_tok_encode(args) -> int:
 
 def _cmd_tok_fertility(args) -> int:
     vocab = bpe.load_vocab(args.vocab)
-    if isinstance(vocab, bpe.Vocab):
-        vocab = bpe.ExtendedVocab.from_base(vocab)
-    tokens, words = bpe.fertility_counts(vocab, _read_many(args.inputs))
+    (tokens,), words = bpe.fertility_counts([vocab], _read_many(args.inputs))
     print(f"tokens={tokens} words={words} fertility={tokens / words:.6f}")
     return EXIT_OK
 

@@ -405,15 +405,14 @@ def _stage_tokenizer(cfg: PipelineConfig, out: _StageDir) -> Counts:
     bpe.save_vocab(ext, out.path("extended_vocab.json"))
 
     sample = _take_docs(cfg, "tokenizer", greek, t.fertility_sample_docs)
-    base_tokens, base_words = bpe.fertility_counts(bpe.ExtendedVocab.from_base(base), sample)
-    ext_tokens, ext_words = bpe.fertility_counts(ext, sample)
+    (base_tokens, ext_tokens), words = bpe.fertility_counts([base, ext], sample)
     write_json(
         out.path("fertility.json"),
         {
             "sample_docs": len(sample),
-            "sample_words": base_words,
-            "base": {"tokens": base_tokens, "fertility": base_tokens / base_words},
-            "extended": {"tokens": ext_tokens, "fertility": ext_tokens / ext_words},
+            "sample_words": words,
+            "base": {"tokens": base_tokens, "fertility": base_tokens / words},
+            "extended": {"tokens": ext_tokens, "fertility": ext_tokens / words},
             "base_vocab_size": len(base.tokens),
             "extended_vocab_size": ext.total_size,
         },

@@ -95,10 +95,9 @@ def test_c02_fertility_improvement_and_oracle():
         ext = extend_vocab(base, learned)
         base_only = ExtendedVocab.from_base(base)
 
-        f_base_tokens, f_base_words = fertility_counts(base_only, greek_docs)
-        f_ext_tokens, f_ext_words = fertility_counts(ext, greek_docs)
-        fert_base = f_base_tokens / f_base_words
-        fert_ext = f_ext_tokens / f_ext_words
+        (f_base_tokens, f_ext_tokens), f_words = fertility_counts([base_only, ext], greek_docs)
+        fert_base = f_base_tokens / f_words
+        fert_ext = f_ext_tokens / f_words
 
         # Brute-force oracle: plain per-document counting loops.
         oracle_tokens_base = oracle_tokens_ext = oracle_words = 0
@@ -106,8 +105,9 @@ def test_c02_fertility_improvement_and_oracle():
             oracle_tokens_base += len(base_only.encode(doc.text))
             oracle_tokens_ext += len(ext.encode(doc.text))
             oracle_words += len(doc.text.split())
-        assert (f_base_tokens, f_base_words) == (oracle_tokens_base, oracle_words)
-        assert (f_ext_tokens, f_ext_words) == (oracle_tokens_ext, oracle_words)
+        assert (f_base_tokens, f_ext_tokens, f_words) == (
+            oracle_tokens_base, oracle_tokens_ext, oracle_words
+        )
         assert fert_base == oracle_tokens_base / oracle_words
         assert fert_ext == oracle_tokens_ext / oracle_words
 
@@ -224,9 +224,11 @@ def test_c06_learning_rate_schedule():
 
 def test_c07_embedding_surgery():
     with criterion(7, "embedding surgery and matrix format", 30.0):
-        # 8-token base vocabulary over an 8x4 matrix with hand-set rows.
+        # Base vocabulary of the 256 byte tokens plus three merges, over a
+        # 259x4 matrix; the rows the added tokens draw on are set by hand.
+        byte_tokens = Vocab.byte_vocab().tokens
         base = Vocab(
-            tokens=["a", "b", "c", "d", "ab", "cd", "abc", "x"],
+            tokens=byte_tokens + ["ab", "cd", "abc"],
             merges=[("a", "b"), ("c", "d"), ("ab", "c")],
         )
         ext = ExtendedVocab(
@@ -234,29 +236,21 @@ def test_c07_embedding_surgery():
             added_tokens=["abcd", "abx"],
             added_merges=[("ab", "cd"), ("ab", "x")],
         )
-        data = np.array(
-            [
-                [0.0, 1.0, 2.0, 3.0],
-                [4.0, 5.0, 6.0, 7.0],
-                [8.0, 9.0, 10.0, 11.0],
-                [12.0, 13.0, 14.0, 15.0],
-                [1.0, 3.0, 5.0, 7.0],     # ab
-                [2.0, 4.0, 6.0, 8.0],     # cd
-                [9.0, 9.0, 9.0, 9.0],     # abc
-                [-4.0, -2.0, 0.0, 2.0],   # x
-            ],
-            dtype=np.float32,
-        )
+        data = np.arange(259 * 4, dtype=np.float32).reshape(259, 4)
+        data[base.token_to_id["x"]] = [-4.0, -2.0, 0.0, 2.0]
+        data[256] = [1.0, 3.0, 5.0, 7.0]    # ab
+        data[257] = [2.0, 4.0, 6.0, 8.0]    # cd
+        data[258] = [9.0, 9.0, 9.0, 9.0]    # abc
         matrix = EmbeddingMatrix(data=data, role=MatrixRole.INPUT_EMBEDDINGS)
         grown = init_new_embeddings(matrix, base, ext)
-        assert grown.rows == ext.total_size == 10
+        assert grown.rows == ext.total_size == 261
         # "abcd" -> base tokens [ab, cd]; "abx" -> [ab, x]; means by hand:
-        assert (grown.data[8] == np.array([1.5, 3.5, 5.5, 7.5], dtype=np.float32)).all()
-        assert (grown.data[9] == np.array([-1.5, 0.5, 2.5, 4.5], dtype=np.float32)).all()
-        assert grown.data[:8].tobytes() == data.tobytes()
+        assert (grown.data[259] == np.array([1.5, 3.5, 5.5, 7.5], dtype=np.float32)).all()
+        assert (grown.data[260] == np.array([-1.5, 0.5, 2.5, 4.5], dtype=np.float32)).all()
+        assert grown.data[:259].tobytes() == data.tobytes()
 
         padded = pad_to_multiple(grown, 8)
-        assert padded.rows == 16 and padded.rows % 8 == 0
+        assert padded.rows == 264 and padded.rows % 8 == 0
         mean_row = grown.data.astype(np.float64).mean(axis=0).astype(np.float32)
         for i in padded.padding_rows:
             assert (padded.data[i] == mean_row).all()

@@ -131,7 +131,8 @@ def test_extend_skips_tokens_already_in_base():
 
 
 def test_extension_size_arithmetic_at_published_scale():
-    base = Vocab(tokens=[f"t{i}" for i in range(32_000)], merges=[])
+    byte_tokens = Vocab.byte_vocab().tokens
+    base = Vocab(tokens=byte_tokens + [f"t{i}" for i in range(31_744)], merges=[])
     ext = ExtendedVocab(base=base, added_tokens=[f"n{i}" for i in range(29_362)])
     assert ext.total_size == 61_362
 
@@ -171,7 +172,7 @@ def test_fertility_lower_bound_and_exact_counts(tiny_docs):
     vocab = ExtendedVocab.from_base(Vocab.byte_vocab())
     value = fertility(vocab, tiny_docs)
     assert value >= 1.0
-    tokens, words = fertility_counts(vocab, tiny_docs)
+    (tokens,), words = fertility_counts([vocab], tiny_docs)
     # Brute-force oracle: independent per-document counting loop.
     oracle_tokens = sum(len(vocab.encode(d.text)) for d in tiny_docs)
     oracle_words = sum(len(d.text.split()) for d in tiny_docs)
@@ -182,7 +183,7 @@ def test_fertility_lower_bound_and_exact_counts(tiny_docs):
 def test_fertility_single_token_words():
     vocab = train_bpe([_doc("aa bb aa bb aa bb")], 4)
     only_words = [Document(id="w", text="aa bb aa")]
-    tokens, words = fertility_counts(ExtendedVocab.from_base(vocab), only_words)
+    (tokens,), words = fertility_counts([ExtendedVocab.from_base(vocab)], only_words)
     # words are single tokens; separators add one token per gap
     assert tokens == 3 + 2
     assert words == 3
@@ -220,32 +221,44 @@ def test_vocab_json_roundtrip(tmp_path):
     assert "added_tokens" in payload
 
 
-@pytest.mark.parametrize("payload", [
-    "{}",
-    '{"tokens": 5, "merges": []}',
-    '{"tokens": ["a"',
-    "[]",
-    '{"tokens": ["a", 7], "merges": []}',
-    '{"tokens": ["a", "b", "ab"], "merges": ["ab"]}',
-    '{"tokens": ["a", "b", "ab"], "merges": [["a", "b"]]}',
-    '{"tokens": ["a"], "merges": [], "byte_fallback": "yes"}',
-    '{"tokens": ["a"], "merges": [], "added_tokens": "b"}',
-    '{"tokens": ["a"], "merges": [], "added_tokens": [], "provenance": []}',
-    '{"tokens": ["a"], "merges": [], "added_tokens": ["b"], "added_merges": ["a"]}',
+# BYTES stands for the 256 byte tokens, so a payload fails for its own fault.
+@pytest.mark.parametrize("payload, reason", [
+    ("{}", "missing key 'tokens'"),
+    ('{"tokens": 5, "merges": []}', "'tokens' must be a list of strings"),
+    ('{"tokens": ["a"', "Expecting"),
+    ("[]", "expected a JSON object"),
+    ('{"tokens": [BYTES, 7], "merges": []}', "'tokens' must be a list of strings"),
+    ('{"tokens": [BYTES, "ab"], "merges": ["ab"]}', "malformed merge entry 'ab'"),
+    ('{"tokens": [BYTES, "ab"], "merges": [["a", "b"]]}', "'merges' must be a list of strings"),
+    ('{"tokens": [BYTES], "merges": [], "byte_fallback": "yes"}', "'byte_fallback' must be"),
+    ('{"tokens": [BYTES], "merges": [], "added_tokens": "ab"}', "'added_tokens' must be"),
+    ('{"tokens": [BYTES], "merges": [], "added_tokens": [], "provenance": []}',
+     "'provenance' must be an object"),
+    ('{"tokens": [BYTES], "merges": [], "added_tokens": ["ab"], "added_merges": ["a"]}',
+     "malformed merge entry 'a'"),
+    ('{"tokens": ["a"], "merges": []}', "byte token 'Ā' (byte 0) missing"),
+    ('{"tokens": [BYTES], "merges": [], "added_tokens": [], "added_merges": ["a b"]}',
+     "added merge result 'ab' missing"),
 ], ids=["empty", "tokens-int", "cut", "list", "token-int", "merge-unsplit", "merge-list",
-        "fallback-str", "added-str", "provenance-list", "added-merge"])
-def test_cli_names_the_path_of_a_malformed_vocabulary(tmp_path, capsys, payload):
+        "fallback-str", "added-str", "provenance-list", "added-merge", "no-byte-tokens",
+        "added-merge-result"])
+def test_cli_names_the_path_of_a_malformed_vocabulary(tmp_path, capsys, payload, reason):
     path = tmp_path / "v.json"
-    path.write_text(payload, encoding="utf-8")
+    byte_tokens = json.dumps(Vocab.byte_vocab().tokens, ensure_ascii=False)[1:-1]
+    path.write_text(payload.replace("BYTES", byte_tokens), encoding="utf-8")
     assert main(["tok", "encode", "--vocab", str(path), "--text", "abc"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert reason in err, err
 
 
 def test_vocab_validation():
     with pytest.raises(ValueError):
         Vocab(tokens=["a", "a"], merges=[])
-    with pytest.raises(ValueError):
-        Vocab(tokens=["a", "b"], merges=[("a", "b")])  # "ab" missing
+    byte_tokens = Vocab.byte_vocab().tokens
+    with pytest.raises(ValueError, match="merge result 'ab'"):
+        Vocab(tokens=byte_tokens, merges=[("a", "b")])  # "ab" missing
+    with pytest.raises(ValueError, match=r"byte token 'a' \(byte 97\)"):
+        Vocab(tokens=[t for t in byte_tokens if t != "a"] + ["ab"], merges=[])
     with pytest.raises(ValueError):
         ExtendedVocab(base=Vocab.byte_vocab(), added_tokens=["a"])  # already in base

@@ -3,16 +3,27 @@
 The training oracle recounts every adjacent pair of every segment occurrence
 after each merge; `train_bpe` counts each distinct segment once and updates
 pair counts only around the merged positions, and must pick the same merges.
-The encoding oracle maps and merges every segment afresh, with no cache.
+The encoding oracle maps and merges every segment afresh, with no cache,
+by the encoder's former loop, which rescans the segment after each merge;
+the encoder takes its merges from a heap and must give the same ids.
 """
 
+import random
 import re
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus_forge.bpe import Vocab, bytes_to_unicode, extend_vocab, fertility_counts, train_bpe
+from corpus_forge.bpe import (
+    ExtendedVocab,
+    Vocab,
+    bytes_to_unicode,
+    extend_vocab,
+    fertility_counts,
+    train_bpe,
+    unmap_to_bytes,
+)
 from corpus_forge.documents import Document, corpus_stats
 
 _SEGMENT = re.compile(r"\S+|\s+")
@@ -50,19 +61,35 @@ def naive_merges(texts, k):
     return merges
 
 
+def rescan_apply_merges(symbols, ranks):
+    """The encoder's former loop, kept as the oracle for its heap: find the
+    lowest-rank adjacent pair, merge its leftmost non-overlapping
+    occurrences, and rescan the whole segment."""
+    if not ranks:
+        return symbols
+    while len(symbols) >= 2:
+        best_pair = None
+        best_rank = None
+        for pair in zip(symbols, symbols[1:]):
+            rank = ranks.get(pair)
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best_rank = rank
+                best_pair = pair
+        if best_pair is None:
+            break
+        symbols = _merge(symbols, best_pair)
+    return symbols
+
+
 def reference_encode(text, phases, token_to_id):
-    """Per segment: map its bytes, then in each phase merge the lowest-ranked
-    adjacent pair everywhere until none is ranked."""
+    """Per segment: map its bytes, then run each phase's merges through the
+    rescan loop. Ranks come from the same dict comprehension as the
+    encoder's, so a repeated pair keeps its later rank."""
     ids = []
     for seg in _SEGMENT.findall(text):
         symbols = _mapped(seg)
         for merges in phases:
-            ranks = {pair: r for r, pair in enumerate(merges)}
-            while True:
-                ranked = [p for p in zip(symbols, symbols[1:]) if p in ranks]
-                if not ranked:
-                    break
-                symbols = _merge(symbols, min(ranked, key=ranks.__getitem__))
+            symbols = rescan_apply_merges(symbols, {pair: r for r, pair in enumerate(merges)})
         ids.extend(token_to_id[s] for s in symbols)
     return ids
 
@@ -131,8 +158,93 @@ def test_encoder_and_counts_match_cache_free_reference(texts):
             assert vocab.decode(ids) == text
         per_doc = [len(vocab.encode(d.text)) for d in docs]
         words = sum(len(d.text.split()) for d in docs)
-        assert fertility_counts(vocab, docs) == (sum(per_doc), words)
+        assert fertility_counts([vocab], docs) == ([sum(per_doc)], words)
         by_dataset = {}
         for d, n in zip(docs, per_doc):
             by_dataset[d.dataset] = by_dataset.get(d.dataset, 0) + n
         assert corpus_stats(docs, vocab).per_subcorpus == by_dataset
+
+
+@st.composite
+def _merge_lists(draw):
+    """Merges over a, b and, when α's two bytes are merged, α, whose operands
+    are earlier results; then shuffled, so an operand may come from a later
+    merge. Sometimes one pair is repeated. Two routes to one string make a
+    result that is already a token."""
+    pool = ["a", "b"]
+    merges = []
+    if draw(st.booleans()):
+        merges.append(tuple(_mapped("α")))  # α is two byte symbols
+        pool.append("".join(_mapped("α")))
+    for _ in range(draw(st.integers(0, 10))):
+        pair = (draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+        merges.append(pair)
+        if pair[0] + pair[1] not in pool:
+            pool.append(pair[0] + pair[1])
+    merges = list(draw(st.permutations(merges)))
+    if merges and draw(st.booleans()):
+        merges.insert(draw(st.integers(0, len(merges))), draw(st.sampled_from(merges)))
+    return merges
+
+
+def _results(merges, known):
+    """Merge results not in `known`, in merge order, each once."""
+    out = []
+    for a, b in merges:
+        if a + b not in known and a + b not in out:
+            out.append(a + b)
+    return out
+
+
+def _adversarial_vocabs(base_merges, added_merges):
+    """A Vocab, and an ExtendedVocab over it, each with the merge phases and
+    the token ids the oracle encodes with."""
+    byte_tokens = [bytes_to_unicode()[b] for b in range(256)]
+    base = Vocab(byte_tokens + _results(base_merges, set(byte_tokens)), base_merges)
+    ext = ExtendedVocab(base=base, added_tokens=_results(added_merges, set(base.tokens)),
+                        added_merges=added_merges)
+    return [
+        (base, [base_merges], base.token_to_id),
+        (ext, [base_merges, added_merges],
+         {ext.token_string(i): i for i in range(ext.total_size)}),
+    ]
+
+
+@st.composite
+def _merge_cases(draw):
+    """Two merge lists, and texts built from their results' text, from runs
+    such as aaaa and ababab, and from a, b, α and spaces."""
+    base_merges, added_merges = draw(_merge_lists()), draw(_merge_lists())
+    results = {unmap_to_bytes(a + b).decode("utf-8", "ignore")
+               for a, b in base_merges + added_merges}
+    pieces = st.sampled_from(sorted(results - {""}) + ["a", "b", "α", " ", "\n"])
+    runs = st.sampled_from(["aaaa", "aaaaa", "ababab", "abababa", "aabab", "αααα", "aαaα"])
+    texts = st.lists(st.one_of(pieces, runs, st.text(alphabet="abα ", max_size=8)), max_size=12)
+    return base_merges, added_merges, draw(st.lists(texts.map("".join), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_merge_cases())
+# A merge of rank 1 forms a rank-0 pair (ab, a) mid-round; it must wait.
+@example(([("ab", "a"), ("a", "b")], [], ["abab ababa"]))
+# ("a", "b") comes twice: the later rank, 2, holds, so (b, a) merges first.
+@example(([("a", "b"), ("b", "a"), ("a", "b")], [("ab", "ab")], ["abab baba"]))
+# "aba" is made by either route, and the added phase repeats a base result.
+@example(([("a", "b"), ("ab", "a"), ("b", "a"), ("a", "ba")], [("a", "ba"), ("aba", "b")],
+          ["ababa abab aaba"]))
+def test_heap_encoder_matches_rescan_loop_on_adversarial_merges(case):
+    base_merges, added_merges, texts = case
+    for vocab, phases, token_to_id in _adversarial_vocabs(base_merges, added_merges):
+        for text in texts:
+            assert vocab.encode(text) == reference_encode(text, phases, token_to_id)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_merge_lists(), _merge_lists(), st.sampled_from(["a", "ab", "abα", "aab"]),
+       st.integers(0, 2**32 - 1))
+def test_heap_encoder_matches_rescan_loop_on_a_long_unspaced_segment(
+    base_merges, added_merges, alphabet, seed
+):
+    segment = "".join(random.Random(seed).choices(alphabet, k=20_000))
+    for vocab, phases, token_to_id in _adversarial_vocabs(base_merges, added_merges):
+        assert vocab.encode(segment) == reference_encode(segment, phases, token_to_id)
