@@ -11,13 +11,13 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .documents import SEGMENT, Document, count_words, token_count
+from .documents import SEGMENT, Document, segment_counts, token_count
 
 log = logging.getLogger(__name__)
 
@@ -185,10 +185,9 @@ class _SegmentEncoder:
 class Vocab(_SegmentEncoder):
     """Base vocabulary: 256 byte tokens plus learned merge results."""
 
-    def __init__(self, tokens: list[str], merges: list[tuple[str, str]], byte_fallback: bool = True):
+    def __init__(self, tokens: list[str], merges: list[tuple[str, str]]):
         self.tokens = list(tokens)
         self.merges = [tuple(m) for m in merges]
-        self.byte_fallback = byte_fallback
         self.token_to_id = {}
         for i, tok in enumerate(self.tokens):
             self.token_to_id.setdefault(tok, i)
@@ -283,9 +282,7 @@ def train_bpe(corpus: Iterable[Document], target_new_tokens: int) -> Vocab:
     document order. Returns fewer merges (with a warning) when the corpus
     exhausts its pairs early.
     """
-    seg_freqs: Counter[str] = Counter()
-    for doc in corpus:
-        seg_freqs.update(SEGMENT.findall(doc.text))
+    seg_freqs = segment_counts(doc.text for doc in corpus)
     words = [list(map_text(seg)) for seg in seg_freqs]
     freqs = list(seg_freqs.values())
     stats: defaultdict[tuple[str, str], int] = defaultdict(int)
@@ -370,12 +367,10 @@ def fertility_counts(
     vocabs: Sequence[Vocab | ExtendedVocab], corpus: Iterable[Document]
 ) -> tuple[list[int], int]:
     """(tokens under each vocabulary, words) of the corpus. The corpus is
-    segmented once and each distinct segment is encoded once per vocabulary."""
-    segments: Counter[str] = Counter()
-    words = 0
-    for doc in corpus:
-        segments.update(SEGMENT.findall(doc.text))
-        words += count_words(doc.text)
+    segmented once, its words are its non-whitespace segments, and each
+    distinct segment is encoded once per vocabulary."""
+    segments = segment_counts(doc.text for doc in corpus)
+    words = sum(n for seg, n in segments.items() if not seg.isspace())
     return [token_count(vocab, segments) for vocab in vocabs], words
 
 
@@ -392,7 +387,6 @@ def save_vocab(vocab: Vocab | ExtendedVocab, path: str | Path) -> None:
         payload = {
             "tokens": vocab.base.tokens,
             "merges": [f"{a} {b}" for a, b in vocab.base.merges],
-            "byte_fallback": vocab.base.byte_fallback,
             "added_tokens": vocab.added_tokens,
             "added_merges": [f"{a} {b}" for a, b in vocab.added_merges],
             "provenance": vocab.provenance,
@@ -401,7 +395,6 @@ def save_vocab(vocab: Vocab | ExtendedVocab, path: str | Path) -> None:
         payload = {
             "tokens": vocab.tokens,
             "merges": [f"{a} {b}" for a, b in vocab.merges],
-            "byte_fallback": vocab.byte_fallback,
         }
     Path(path).write_text(
         json.dumps(payload, ensure_ascii=False, indent=0, sort_keys=True) + "\n",
@@ -430,16 +423,12 @@ def load_vocab(path: str | Path) -> Vocab | ExtendedVocab:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("expected a JSON object")
-        byte_fallback = payload.get("byte_fallback", True)
         provenance = payload.get("provenance", {})
-        if not isinstance(byte_fallback, bool):
-            raise ValueError("'byte_fallback' must be a boolean")
         if not isinstance(provenance, dict):
             raise ValueError("'provenance' must be an object")
         base = Vocab(
             tokens=_strings(payload, "tokens"),
             merges=[_split_merge(m) for m in _strings(payload, "merges")],
-            byte_fallback=byte_fallback,
         )
         if "added_tokens" not in payload:
             return base

@@ -10,6 +10,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -36,6 +37,29 @@ def count_words(text: str) -> int:
 # A segment is a maximal run of whitespace or of other characters. Tokenizers
 # here never merge across segments, so a text's tokens are its segments'.
 SEGMENT = re.compile(r"\S+|\s+")
+_SPACE_RUNS = re.compile(r"\s+")
+
+
+def segment_counts(texts: Iterable[str], counts: Counter[str] | None = None) -> Counter[str]:
+    """The multiset of SEGMENT.findall over every text, added into `counts`.
+
+    Words come from str.split, which splits on exactly the characters `\\s`
+    matches. A text whose whitespace is only single spaces between words
+    (as many words as spaces plus one, their lengths summing to the text's)
+    adds its spaces by count; any other text adds its whitespace runs from
+    one findall.
+    """
+    counts = Counter() if counts is None else counts
+    for text in texts:
+        words = text.split()
+        counts.update(words)
+        spaces = text.count(" ")
+        if len(words) == spaces + 1 and len(text) == sum(map(len, words)) + spaces:
+            if spaces:
+                counts[" "] += spaces
+        else:
+            counts.update(_SPACE_RUNS.findall(text))
+    return counts
 
 
 def token_count(tokenizer, segments: Mapping[str, int]) -> int:
@@ -338,6 +362,6 @@ def corpus_stats(docs: Iterable[Document], tokenizer) -> CorpusStats:
     """Token counts per dataset under the given tokenizer (duck-typed .encode,
     which must not merge across segments)."""
     segments: dict[str, Counter[str]] = {}
-    for doc in docs:
-        segments.setdefault(doc.dataset or "default", Counter()).update(SEGMENT.findall(doc.text))
+    for name, run in groupby(docs, lambda doc: doc.dataset or "default"):
+        segment_counts((doc.text for doc in run), segments.setdefault(name, Counter()))
     return CorpusStats.from_counts({k: token_count(tokenizer, c) for k, c in segments.items()})

@@ -396,15 +396,19 @@ def _stage_tokenizer(cfg: PipelineConfig, out: _StageDir) -> Counts:
         base_ds = [ds for ds in cfg.datasets if ds.name == t.base_dataset]
         base_docs = _take_docs(cfg, "tokenizer", base_ds, t.max_train_docs)
         base = bpe.train_bpe(base_docs, t.base_target_tokens)
-    greek = _greek_datasets(cfg)
-    train_docs = _take_docs(cfg, "tokenizer", greek, t.max_train_docs)
+    # One read serves both limits: the fertility sample is a prefix of the
+    # training docs, or the other way round.
+    limits = (t.max_train_docs, t.fertility_sample_docs)
+    greek = _take_docs(cfg, "tokenizer", _greek_datasets(cfg),
+                       None if None in limits else max(limits))
+    train_docs = greek[:t.max_train_docs]
     learned = bpe.train_bpe(train_docs, t.new_target_tokens)
     ext = bpe.extend_vocab(base, learned)
 
     bpe.save_vocab(base, out.path("base_vocab.json"))
     bpe.save_vocab(ext, out.path("extended_vocab.json"))
 
-    sample = _take_docs(cfg, "tokenizer", greek, t.fertility_sample_docs)
+    sample = greek[:t.fertility_sample_docs]
     (base_tokens, ext_tokens), words = bpe.fertility_counts([base, ext], sample)
     write_json(
         out.path("fertility.json"),

@@ -140,33 +140,6 @@ def english_text(n_words: int, seed: int = 0, paragraph_every: int = 80) -> str:
     return _compose(_sample_words(_EN_ARR, _EN_W, n_words, rng), rng, paragraph_every)
 
 
-def greek_sample(n_words: int = 100_000, seed: int = 1001) -> str:
-    """The bundled Greek measurement sample (deterministic)."""
-    return greek_text(n_words, seed=seed)
-
-
-def english_sample(n_words: int = 100_000, seed: int = 2002) -> str:
-    """The bundled English training sample (deterministic, ASCII-only)."""
-    return english_text(n_words, seed=seed)
-
-
-def sample_documents(text: str, doc_id_prefix: str, dataset: str, language: str, words_per_doc: int = 500) -> list[Document]:
-    """Split a large sample into document records."""
-    words = text.split()
-    docs = []
-    for i in range(0, len(words), words_per_doc):
-        chunk = " ".join(words[i : i + words_per_doc])
-        docs.append(
-            Document(
-                id=f"{doc_id_prefix}-{i // words_per_doc:05d}",
-                text=chunk,
-                language=language,
-                dataset=dataset,
-            )
-        )
-    return docs
-
-
 _BAD_WORD_BAIT = ("βλάκας", "ηλίθιος", "κορόιδο", "σκουπίδι")
 _EMOJI_NOISE = "😀🎉🐍💡🔥🌊🚀🍀🧩🌟"
 _CJK_NOISE = "漢字仮名交漢字仮名交"

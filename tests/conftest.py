@@ -1,4 +1,5 @@
 import pytest
+from helpers import sample_documents
 
 from corpus_forge import synth
 from corpus_forge.documents import Document
@@ -8,7 +9,7 @@ from corpus_forge.fluency import train_ngram_lm
 @pytest.fixture(scope="session")
 def greek_docs():
     """~20k words of synthetic Greek split into documents."""
-    return synth.sample_documents(
+    return sample_documents(
         synth.greek_text(20_000, seed=501), "gdoc", "el_sample", "el"
     )
 

@@ -1,4 +1,5 @@
-"""Shared test fixtures: planted near-duplicate corpora and brute-force oracles."""
+"""Shared test fixtures: synthetic sample documents, planted near-duplicate
+corpora and brute-force oracles."""
 
 from collections import deque
 
@@ -6,6 +7,33 @@ import numpy as np
 
 from corpus_forge.dedup import exact_jaccard, shingle
 from corpus_forge.documents import Document
+from corpus_forge.synth import english_text, greek_text
+
+
+def greek_sample(n_words: int = 100_000, seed: int = 1001) -> str:
+    """The Greek measurement sample (deterministic)."""
+    return greek_text(n_words, seed=seed)
+
+
+def english_sample(n_words: int = 100_000, seed: int = 2002) -> str:
+    """The English training sample (deterministic, ASCII-only)."""
+    return english_text(n_words, seed=seed)
+
+
+def sample_documents(
+    text: str, doc_id_prefix: str, dataset: str, language: str, words_per_doc: int = 500
+) -> list[Document]:
+    """Split a large sample into document records."""
+    words = text.split()
+    return [
+        Document(
+            id=f"{doc_id_prefix}-{i // words_per_doc:05d}",
+            text=" ".join(words[i : i + words_per_doc]),
+            language=language,
+            dataset=dataset,
+        )
+        for i in range(0, len(words), words_per_doc)
+    ]
 
 
 def build_cluster_corpus(

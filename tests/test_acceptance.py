@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import build_cluster_corpus, oracle_clusters, oracle_pairs
+from helpers import (
+    build_cluster_corpus,
+    english_sample,
+    greek_sample,
+    oracle_clusters,
+    oracle_pairs,
+    sample_documents,
+)
 
 from corpus_forge import synth
 from corpus_forge.alignment import orpo_loss, orpo_loss_with_grad
@@ -82,12 +89,8 @@ def test_c01_subcorpus_accounting():
 
 def test_c02_fertility_improvement_and_oracle():
     with criterion(2, "vocabulary extension halves Greek fertility", 120.0):
-        greek_docs = synth.sample_documents(
-            synth.greek_sample(100_000), "el", "greek_sample", "el"
-        )
-        english_docs = synth.sample_documents(
-            synth.english_sample(100_000), "en", "english_sample", "en"
-        )
+        greek_docs = sample_documents(greek_sample(100_000), "el", "greek_sample", "el")
+        english_docs = sample_documents(english_sample(100_000), "en", "english_sample", "en")
         base = train_bpe(english_docs, 8_000)
         assert len(base.merges) == 8_000
         learned = train_bpe(greek_docs, 8_000)
@@ -347,7 +350,7 @@ def test_c09_character_language_model():
 
         # Order-7 model over the bundled sample: distributions sum to one
         # for 1,000 random contexts, training text scores high, noise low.
-        docs = synth.sample_documents(
+        docs = sample_documents(
             synth.greek_text(60_000, seed=77), "lm", "lm_corpus", "el"
         )
         lm7 = train_ngram_lm(docs, order=7, holdout_fraction=0.1, seed=4)

@@ -217,8 +217,7 @@ def test_vocab_json_roundtrip(tmp_path):
     assert loaded_ext.encode(sample) == ext.encode(sample)
 
     payload = json.loads(ext_path.read_text(encoding="utf-8"))
-    assert payload["byte_fallback"] is True
-    assert "added_tokens" in payload
+    assert set(payload) == {"tokens", "merges", "added_tokens", "added_merges", "provenance"}
 
 
 # BYTES stands for the 256 byte tokens, so a payload fails for its own fault.
@@ -230,7 +229,6 @@ def test_vocab_json_roundtrip(tmp_path):
     ('{"tokens": [BYTES, 7], "merges": []}', "'tokens' must be a list of strings"),
     ('{"tokens": [BYTES, "ab"], "merges": ["ab"]}', "malformed merge entry 'ab'"),
     ('{"tokens": [BYTES, "ab"], "merges": [["a", "b"]]}', "'merges' must be a list of strings"),
-    ('{"tokens": [BYTES], "merges": [], "byte_fallback": "yes"}', "'byte_fallback' must be"),
     ('{"tokens": [BYTES], "merges": [], "added_tokens": "ab"}', "'added_tokens' must be"),
     ('{"tokens": [BYTES], "merges": [], "added_tokens": [], "provenance": []}',
      "'provenance' must be an object"),
@@ -240,7 +238,7 @@ def test_vocab_json_roundtrip(tmp_path):
     ('{"tokens": [BYTES], "merges": [], "added_tokens": [], "added_merges": ["a b"]}',
      "added merge result 'ab' missing"),
 ], ids=["empty", "tokens-int", "cut", "list", "token-int", "merge-unsplit", "merge-list",
-        "fallback-str", "added-str", "provenance-list", "added-merge", "no-byte-tokens",
+        "added-str", "provenance-list", "added-merge", "no-byte-tokens",
         "added-merge-result"])
 def test_cli_names_the_path_of_a_malformed_vocabulary(tmp_path, capsys, payload, reason):
     path = tmp_path / "v.json"

@@ -1,15 +1,18 @@
 import gzip
 import json
 import re
+import sys
 import unicodedata
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus_forge.alignment import Category, PreferenceExample, read_preferences, write_preferences
 from corpus_forge.cli import main
 from corpus_forge.documents import (
+    SEGMENT,
     CorpusStats,
     Document,
     Extraction,
@@ -18,6 +21,7 @@ from corpus_forge.documents import (
     corpus_stats,
     parse_document,
     read_documents,
+    segment_counts,
     serialize_document,
     write_documents,
 )
@@ -207,6 +211,41 @@ def test_bad_field_names_path_and_line(tmp_path, read, line):
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=re.escape(f"{path}:1: ")):
         list(read(path))
+
+
+_SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def test_regex_whitespace_is_str_isspace():
+    # segment_counts splits words with str.split and counts runs with `\s`;
+    # the two must agree on every code point, or its counts are wrong.
+    matches = re.compile(r"\s").fullmatch
+    differ = [hex(c) for c in range(sys.maxunicode + 1)
+              if bool(matches(chr(c))) != chr(c).isspace()]
+    assert differ == []
+
+
+_PIECES = st.one_of(
+    st.text(alphabet="αβγδεζηθάέΩΣabcxyzABC019.,;", min_size=1, max_size=6),
+    st.sampled_from(["😀", "🎉🐍", "漢字", "\u200b", "\ufeff"]),
+    st.sampled_from(_SPACES),
+    st.builds(lambda c, n: c * n, st.sampled_from(_SPACES), st.integers(2, 4)),
+    st.just(" "),
+    st.just(""),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_PIECES, max_size=12).map("".join), max_size=6))
+@example(["", " ", "a", "a b", " a b", "a b ", "a  b", "a\tb", "a\u00a0b", "a \n b", "\n\n"])
+def test_segment_counts_equal_regex_segments(texts):
+    expected = Counter(seg for text in texts for seg in SEGMENT.findall(text))
+    got = segment_counts(texts)
+    assert got == expected
+    assert all(n > 0 for n in got.values())
+    into = Counter({" ": 1, "x": 2})
+    assert segment_counts(texts, into) is into
+    assert into == expected + Counter({" ": 1, "x": 2})
 
 
 class _OneTokenPerWord:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus_forge import dedup, embeddings
+from corpus_forge import bpe, dedup, embeddings, pipeline
 from corpus_forge.cli import main
 from corpus_forge.documents import Document, read_documents, write_documents
 from corpus_forge.pipeline import (
@@ -13,7 +13,9 @@ from corpus_forge.pipeline import (
     ConfigValidationError,
     PipelineConfig,
     StageError,
+    _greek_datasets,
     _input_path,
+    _take_docs,
     run_pipeline,
     validate_config,
 )
@@ -445,6 +447,76 @@ def test_repeated_ids_with_a_copy_in_each_dataset(tmp_path, capsys):
     assert [(d.dataset, d.id) for d in read_documents(tmp_path / "dd" / "survivors.jsonl")] \
         == expected
     assert "intra: input=4 removed=2 clusters=2" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def tiny_tokenizer_inputs(tmp_path_factory):
+    """Two Greek datasets of 4 and 6 distinct documents and an English one,
+    ingested; limits of 3, 5 and 8 documents cut inside either file."""
+    root = tmp_path_factory.mktemp("tok")
+    words = "καλό σπίτι θάλασσα ήλιος βιβλίο δρόμος νερό φως πόλη χώρα".split()
+    datasets = []
+    for name, lang, n in (("en", "en", 3), ("g1", "el", 4), ("g2", "el", 6)):
+        docs = [Document(id=f"{name}{i}",
+                         text=" ".join(words[(i + j) % 10] + ("ς" * (i % 3)) for j in range(3 + i))
+                         if lang == "el" else f"low lower lowest newer wider {i}")
+                for i in range(n)]
+        write_documents(root / f"{name}.jsonl", docs)
+        datasets.append({"name": name, "path": f"{name}.jsonl", "language": lang})
+    (root / "config.json").write_text(json.dumps({"datasets": datasets, "stages": ["ingest"]}))
+    run_pipeline(PipelineConfig.load(root / "config.json"))
+    return root, datasets
+
+
+def _tokenizer_oracle(cfg, out):
+    """The stage as it was: the fertility sample taken by its own read."""
+    t = cfg.tokenizer
+    base_ds = [ds for ds in cfg.datasets if ds.name == t.base_dataset]
+    base = bpe.train_bpe(_take_docs(cfg, "tokenizer", base_ds, t.max_train_docs),
+                         t.base_target_tokens)
+    greek = _greek_datasets(cfg)
+    train = _take_docs(cfg, "tokenizer", greek, t.max_train_docs)
+    ext = bpe.extend_vocab(base, bpe.train_bpe(train, t.new_target_tokens))
+    bpe.save_vocab(base, out / "base_vocab.json")
+    bpe.save_vocab(ext, out / "extended_vocab.json")
+    sample = _take_docs(cfg, "tokenizer", greek, t.fertility_sample_docs)
+    (base_tokens, ext_tokens), words = bpe.fertility_counts([base, ext], sample)
+    return {
+        "sample_docs": len(sample),
+        "sample_words": words,
+        "base": {"tokens": base_tokens, "fertility": base_tokens / words},
+        "extended": {"tokens": ext_tokens, "fertility": ext_tokens / words},
+        "base_vocab_size": len(base.tokens),
+        "extended_vocab_size": ext.total_size,
+    }
+
+
+@pytest.mark.parametrize("max_train, sample", [
+    (None, None), (None, 5), (5, None), (3, 8), (8, 3),
+])
+def test_tokenizer_reads_its_greek_inputs_once(tiny_tokenizer_inputs, tmp_path, monkeypatch,
+                                               max_train, sample):
+    root, datasets = tiny_tokenizer_inputs
+    tok = {"base_dataset": "en", "base_target_tokens": 10, "new_target_tokens": 25,
+           "max_train_docs": max_train, "fertility_sample_docs": sample}
+    config = {"datasets": datasets, "stages": ["tokenizer"], "tokenizer": tok}
+    (root / f"{tmp_path.name}.json").write_text(json.dumps(config))
+    cfg = PipelineConfig.load(root / f"{tmp_path.name}.json")
+
+    reads = []
+    real_read = pipeline.read_documents
+    monkeypatch.setattr(pipeline, "read_documents",
+                        lambda path: reads.append(Path(path).name) or real_read(path))
+    run_pipeline(cfg)
+    monkeypatch.undo()
+    # Every case needs documents of both Greek files; each is read once.
+    assert reads == ["en.jsonl", "g1.jsonl", "g2.jsonl"]
+
+    expected = _tokenizer_oracle(cfg, tmp_path)
+    out = cfg.output_dir / "tokenizer"
+    assert json.loads((out / "fertility.json").read_text()) == expected
+    for name in ("base_vocab.json", "extended_vocab.json"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_input_path_rule(demo_dir, demo_run):
