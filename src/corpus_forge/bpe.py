@@ -52,7 +52,10 @@ def map_bytes(raw: bytes) -> str:
 
 
 def map_text(text: str) -> str:
-    return map_bytes(text.encode("utf-8"))
+    # A lone surrogate (from argv or a file read with surrogateescape, say)
+    # has no UTF-8 form; surrogatepass gives it the three bytes that
+    # `_SegmentEncoder.decode` turns back into it.
+    return map_bytes(text.encode("utf-8", errors="surrogatepass"))
 
 
 def unmap_to_bytes(mapped: str) -> bytes:
@@ -178,8 +181,11 @@ class _SegmentEncoder:
         return ids
 
     def decode(self, ids: Iterable[int]) -> str:
-        mapped = "".join(self._strings[i] for i in ids)
-        return unmap_to_bytes(mapped).decode("utf-8", errors="replace")
+        raw = unmap_to_bytes("".join(self._strings[i] for i in ids))
+        try:
+            return raw.decode("utf-8", errors="surrogatepass")
+        except UnicodeDecodeError:  # ids that split a character
+            return raw.decode("utf-8", errors="replace")
 
 
 class Vocab(_SegmentEncoder):

@@ -9,15 +9,20 @@ length-weighted mean over its blank-line-separated paragraphs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import logging
 import math
+import operator
 import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import binfile
 from .documents import Document
@@ -31,6 +36,11 @@ UNK = "\x01"  # reserved unknown-character symbol
 FALLBACK_DISCOUNTS = (0.5, 1.0, 1.5)
 
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
+
+# A gram's context, its suffix one order down, and its predicted symbol.
+_HEAD = operator.itemgetter(slice(None, -1))
+_TAIL = operator.itemgetter(slice(1, None))
+_LAST = operator.itemgetter(-1)
 
 
 class TrainError(ValueError):
@@ -74,7 +84,9 @@ class NGramLM:
 
     level_counts[m] holds the count table used at order m: raw n-gram counts
     at the top order, continuation counts below it. Grams are plain strings
-    whose last character is the predicted symbol.
+    whose last character is the predicted symbol. The levels must be
+    suffix-closed (each gram of order m >= 2 drops its first character to a
+    gram of order m-1), as counting makes them.
     """
 
     def __init__(self, order: int, level_counts: list[Counter], vocab: set[str], h_ref: float):
@@ -88,36 +100,49 @@ class NGramLM:
         self._discounts = [
             _estimate_discounts(Counter(level_counts[m].values())) for m in range(order)
         ]
-        self._tables = self._build_tables()
+        self._probs, self._gammas = self._build_tables()
 
-    def _build_tables(self) -> list[dict]:
-        tables: list[dict] = []
+    def _build_tables(self) -> tuple[list[dict[str, float]], list[dict[str, float]]]:
+        """probs[m]: order-m gram -> interpolated P(gram[-1] | gram[:-1]);
+        gammas[m]: order-m context -> back-off weight. Index 0 is empty.
+
+        Built bottom-up as max(c - d, 0) / total + gamma * probs[m-1][gram[1:]]:
+        the recursion's float operations in its order, elementwise, so the
+        values are bit-identical while a context's total stays below 2**53.
+        Only grams whose last character is in the vocabulary get a
+        probability: no query asks for any other."""
+        probs: list[dict[str, float]] = [{}]
+        gammas: list[dict[str, float]] = [{}]
         for m in range(1, self.order + 1):
-            grouped: dict[str, dict[str, int]] = {}
-            for gram, c in self.level_counts[m - 1].items():
-                ctx, w = gram[:-1], gram[-1]
-                grouped.setdefault(ctx, {})[w] = c
+            counts = self.level_counts[m - 1]
+            grams = list(counts)
+            n = len(grams)
+            c = np.fromiter(counts.values(), np.float64, n)
+            contexts = dict(zip(dict.fromkeys(map(_HEAD, grams)), itertools.count()))
+            at = np.fromiter(map(contexts.__getitem__, map(_HEAD, grams)), np.intp, n)
+            k = len(contexts)
+            total = np.bincount(at, weights=c, minlength=k)
+            n1, n2, n3p = (np.bincount(at[hit], minlength=k) for hit in (c == 1, c == 2, c > 2))
             d1, d2, d3 = self._discounts[m - 1]
-            table: dict[str, tuple[dict[str, float], float]] = {}
-            for ctx, successors in grouped.items():
-                total = sum(successors.values())
-                n1 = n2 = n3p = 0
-                probs: dict[str, float] = {}
-                for w, c in successors.items():
-                    if c == 1:
-                        d = d1
-                        n1 += 1
-                    elif c == 2:
-                        d = d2
-                        n2 += 1
-                    else:
-                        d = d3
-                        n3p += 1
-                    probs[w] = max(c - d, 0.0) / total
-                gamma = (d1 * n1 + d2 * n2 + d3 * n3p) / total
-                table[ctx] = (probs, gamma)
-            tables.append(table)
-        return tables
+            gamma = (d1 * n1 + d2 * n2 + d3 * n3p) / total
+            gammas.append(dict(zip(contexts, gamma.tolist())))
+
+            keep = np.fromiter(map(self.vocab.__contains__, map(_LAST, grams)), bool, n)
+            kept = list(itertools.compress(grams, keep))
+            if m == 1:
+                lower = self._uniform
+            else:
+                below = self.level_counts[m - 2]
+                if not all(map(below.__contains__, map(_TAIL, grams))):
+                    gram = next(g for g in grams if g[1:] not in below)
+                    raise ValueError(f"order-{m} gram {gram!r} has no order-{m - 1} suffix")
+                lower = np.fromiter(map(probs[m - 1].__getitem__, map(_TAIL, kept)),
+                                    np.float64, len(kept))
+            d = np.where(c == 1, d1, np.where(c == 2, d2, d3))
+            at = at[keep]
+            p = np.maximum(c - d, 0.0)[keep] / total[at] + gamma[at] * lower
+            probs.append(dict(zip(kept, p.tolist())))
+        return probs, gammas
 
     def prob(self, char: str, context: str = "") -> float:
         """P(char | context); context shorter than order-1 is BOS-padded."""
@@ -129,41 +154,59 @@ class NGramLM:
         return self._prob_padded(char, ctx)
 
     def _prob_padded(self, w: str, ctx: str) -> float:
+        """P(w | ctx) for a context of exactly order-1 characters: the longest
+        suffix of ctx+w that is a gram gives the probability up to its order;
+        each order above it whose context was seen scales it by its gamma."""
         if w not in self.vocab:
             w = UNK
-        p = self._uniform
+        gram = ctx + w
         order = self.order
-        tables = self._tables
-        for m in range(1, order + 1):
-            entry = tables[m - 1].get(ctx[order - m :] if m > 1 else "")
-            if entry is not None:
-                probs, gamma = entry
-                p = probs.get(w, 0.0) + gamma * p
+        probs = self._probs
+        k = order
+        while k and (p := probs[k].get(gram[order - k :])) is None:
+            k -= 1
+        if not k:
+            p = self._uniform
+        gammas = self._gammas
+        for m in range(k + 1, order + 1):
+            gamma = gammas[m].get(ctx[order - m :])
+            if gamma is not None:
+                p = 0.0 + gamma * p
         return p
 
     def log_prob(self, text: str) -> float:
         """Total log probability of text as one sequence (nats); empty -> 0.0."""
-        seq = normalize_text(text)
+        return self._log_prob(normalize_text(text))
+
+    def _log_prob(self, seq: str) -> float:
+        """log_prob of an already normalised sequence: each seen top-order
+        gram is one lookup; the rest go through _prob_padded. The logs are
+        added left to right."""
         if not seq:
             return 0.0
-        pad = self.order - 1
+        order = self.order
+        pad = order - 1
         padded = BOS * pad + seq
-        total = 0.0
+        n = len(seq)
+        grams = map(padded.__getitem__, map(slice, range(n), range(order, n + order)))
+        probs = list(map(self._probs[order].get, grams))
         prob_padded = self._prob_padded
-        for t in range(pad, len(padded)):
-            total += math.log(prob_padded(padded[t], padded[t - pad : t]))
-        return total
+        for i in [i for i, p in enumerate(probs) if p is None]:
+            probs[i] = prob_padded(padded[i + pad], padded[i : i + pad])
+        return functools.reduce(operator.add, map(math.log, probs), 0.0)
 
     def cross_entropy(self, text: str) -> float:
         """Per-character cross-entropy in nats."""
         seq = normalize_text(text)
         if not seq:
             raise ValueError("cannot score empty text")
-        return -self.log_prob(seq) / len(seq)
+        return -self._log_prob(seq) / len(seq)
 
     def fluency_score(self, paragraph: str) -> float:
         """min(1, h_ref / h_paragraph); monotone decreasing in cross-entropy."""
-        h = self.cross_entropy(paragraph)
+        return self._score(self.cross_entropy(paragraph))
+
+    def _score(self, h: float) -> float:
         if h <= 0.0:
             return 1.0
         return min(1.0, self.h_ref / h)
@@ -176,7 +219,7 @@ class NGramLM:
             seq = normalize_text(para)
             if not seq:
                 continue
-            weighted += len(seq) * self.fluency_score(seq)
+            weighted += len(seq) * self._score(-self._log_prob(seq) / len(seq))
             total_len += len(seq)
         if total_len == 0:
             raise ValueError("document has no scoreable paragraphs")
@@ -193,25 +236,24 @@ def _holdout_pick(seed: int, index: int, fraction: float) -> bool:
 
 
 def _count_levels(sequences: Iterable[str], order: int) -> tuple[list[Counter], set[str], int]:
-    raw: list[Counter] = [Counter() for _ in range(order)]  # raw[m-1] for order m
+    """Raw counts of the top-order grams, one slice per character; below it,
+    continuation counts (distinct left extensions). Every lower gram at a
+    position is a suffix of that position's top gram, so the distinct keys of
+    each level yield the next level down."""
+    top: Counter = Counter()
     vocab: set[str] = set()
     n_chars = 0
     pad = order - 1
     for seq in sequences:
         vocab.update(seq)
-        n_chars += len(seq)
+        n = len(seq)
+        n_chars += n
         padded = BOS * pad + seq
-        for t in range(pad, len(padded)):
-            hi = t + 1
-            for m in range(1, order + 1):
-                raw[m - 1][padded[hi - m : hi]] += 1
-    # Continuation counts below the top order: distinct left extensions.
-    levels: list[Counter] = [Counter() for _ in range(order)]
-    levels[order - 1] = raw[order - 1]
-    for m in range(order - 1, 0, -1):
-        cont = levels[m - 1]
-        for gram in raw[m]:  # raw (m+1)-grams
-            cont[gram[1:]] += 1
+        top.update(map(padded.__getitem__, map(slice, range(n), range(order, n + order))))
+    levels: list[Counter] = [top]
+    for _ in range(order - 1):
+        levels.append(Counter(map(_TAIL, levels[-1])))
+    levels.reverse()  # levels[m-1] for order m
     return levels, vocab, n_chars
 
 
@@ -265,7 +307,7 @@ def train_ngram_lm(
     log_total = 0.0
     len_total = 0
     for seq in ref_seqs:
-        log_total += lm.log_prob(seq)
+        log_total += lm._log_prob(seq)
         len_total += len(seq)
     h_ref = -log_total / len_total
     if not h_ref > 0.0:
@@ -301,12 +343,16 @@ def read_model(path: str | Path) -> NGramLM:
         levels = []
         for m in range(1, order + 1):
             table: Counter = Counter()
+            prev = None
             for _ in range(*r.unpack("Q")):
                 gram = r.text(*r.unpack("H"), "gram entry")
                 (count,) = r.unpack("Q")
                 if len(gram) != m or count == 0:
                     raise r.fail(f"bad order-{m} entry {gram!r}")
+                if prev is not None and gram <= prev:
+                    raise r.fail(f"order-{m} gram {gram!r} not after {prev!r}")
                 table[gram] = count
+                prev = gram
             levels.append(table)
         return NGramLM(order=order, level_counts=levels, vocab=vocab, h_ref=h_ref)
 

@@ -1,7 +1,14 @@
 """Shared test fixtures: synthetic sample documents, planted near-duplicate
-corpora and brute-force oracles."""
+corpora, brute-force oracles, and a command that reports its own peak memory.
 
+    python tests/helpers.py PEAK_FILE ARGS...
+
+runs `corpus-forge ARGS` in that process, then writes the process's own
+peak resident set (VmHWM, kB) to PEAK_FILE."""
+
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -113,3 +120,28 @@ def oracle_pairs(docs, shingle_n: int, threshold: float) -> set[tuple[str, str]]
             if exact_jaccard(sets[i], sets[j]) >= threshold:
                 pairs.add(tuple(sorted((docs[i].id, docs[j].id))))
     return pairs
+
+
+def peak_rss_kb() -> int:
+    """This process's own peak resident set (VmHWM), in kB. Unlike
+    `ru_maxrss`, it starts afresh at exec, so it never holds the peak of
+    the process that spawned this one."""
+    with open("/proc/self/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise RuntimeError("/proc/self/status has no VmHWM line")
+
+
+def cli_with_peak(peak_path: Path, *args: str) -> list[str]:
+    """The command that runs `corpus-forge ARGS` and writes its own VmHWM
+    (kB) to `peak_path` when it ends."""
+    return [sys.executable, __file__, str(peak_path), *args]
+
+
+if __name__ == "__main__":
+    from corpus_forge.cli import main
+
+    code = main(sys.argv[2:])
+    Path(sys.argv[1]).write_text(f"{peak_rss_kb()}\n", encoding="ascii")
+    sys.exit(code)

@@ -6,7 +6,6 @@ Run with:  pytest tests/test_acceptance.py -v -s
 
 import json
 import math
-import resource
 import subprocess
 import sys
 import time
@@ -18,6 +17,7 @@ import numpy as np
 import pytest
 from helpers import (
     build_cluster_corpus,
+    cli_with_peak,
     english_sample,
     greek_sample,
     oracle_clusters,
@@ -410,27 +410,25 @@ def test_c11_pipeline_determinism_and_performance(tmp_path):
         )
         assert doc_bytes >= 40_000_000  # ~50MB of document text
 
-        def run(out_dir: Path, threads: int) -> float:
+        def run(out_dir: Path, threads: int) -> tuple[float, float]:
+            """Wall seconds and the run's own peak RSS in GB."""
+            peak_file = out_dir.with_name(out_dir.name + ".peak")
             start = time.perf_counter()
             proc = subprocess.run(
-                [
-                    sys.executable, "-m", "corpus_forge.cli", "run",
-                    "--config", str(config_path),
+                cli_with_peak(
+                    peak_file, "run", "--config", str(config_path),
                     "--out", str(out_dir), "--threads", str(threads),
-                ],
+                ),
                 capture_output=True,
                 text=True,
             )
             elapsed = time.perf_counter() - start
             assert proc.returncode == 0, proc.stderr[-2000:]
-            return elapsed
+            return elapsed, int(peak_file.read_text(encoding="ascii")) / 1e6
 
-        t1 = run(tmp_path / "run_t1", 1)
-        t2 = run(tmp_path / "run_t2", 2)
+        (t1, peak1), (t2, peak2) = run(tmp_path / "run_t1", 1), run(tmp_path / "run_t2", 2)
         assert t1 < 600.0 and t2 < 600.0, (t1, t2)
-
-        peak_gb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1e6
-        assert peak_gb < 2.0, f"peak child memory {peak_gb:.2f} GB"
+        assert peak1 < 2.0 and peak2 < 2.0, f"peak memory {peak1:.2f}, {peak2:.2f} GB"
 
         files1 = sorted(p.relative_to(tmp_path / "run_t1")
                         for p in (tmp_path / "run_t1").rglob("*") if p.is_file())
@@ -441,5 +439,5 @@ def test_c11_pipeline_determinism_and_performance(tmp_path):
             b1 = (tmp_path / "run_t1" / rel).read_bytes()
             b2 = (tmp_path / "run_t2" / rel).read_bytes()
             assert b1 == b2, f"outputs differ at {rel}"
-        print(f"  runs: {t1:.0f}s (1 thread), {t2:.0f}s (2 threads), "
-              f"peak {peak_gb:.2f} GB, {len(files1)} files byte-identical")
+        print(f"  runs: {t1:.0f}s, peak {peak1:.2f} GB (1 thread); {t2:.0f}s, peak "
+              f"{peak2:.2f} GB (2 threads); {len(files1)} files byte-identical")

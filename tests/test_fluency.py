@@ -4,9 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from corpus_forge import binfile
 from corpus_forge.documents import Document
 from corpus_forge.fluency import (
     BOS,
+    MAGIC,
+    VERSION,
     UNK,
     ModelFormatError,
     TrainError,
@@ -237,3 +240,48 @@ def test_model_format_errors(tmp_path):
     trailing.write_bytes(good.read_bytes() + b"\x00")
     with pytest.raises(ModelFormatError):
         read_model(trailing)
+
+
+def _write_levels(path, levels, vocab="abqz"):
+    """An order-len(levels) model file with the given (gram, count) entries
+    per level, written in the order given."""
+    with binfile.Writer(path, MAGIC, VERSION) as out:
+        out.pack("Id", len(levels), 1.5)
+        blob = vocab.encode("utf-8")
+        out.pack(f"I{len(blob)}s", len(blob), blob)
+        for entries in levels:
+            out.pack("Q", len(entries))
+            for gram, count in entries:
+                raw = gram.encode("utf-8")
+                out.pack(f"H{len(raw)}sQ", len(raw), raw, count)
+
+
+UNIGRAMS = [("a", 1), ("b", 2), ("q", 1)]
+
+
+def test_hand_built_model_loads(tmp_path):
+    path = tmp_path / "ok.nglm"
+    _write_levels(path, [UNIGRAMS, [("ab", 2), ("zq", 1)]])
+    lm = read_model(path)
+    assert lm.level_counts[1] == {"ab": 2, "zq": 1}
+    assert lm.prob("b", "a") > lm.prob("q", "a")
+
+
+@pytest.mark.parametrize(
+    "bigrams",
+    [[("ab", 2), ("ab", 5)], [("zq", 1), ("ab", 2)]],
+    ids=["repeated", "descending"],
+)
+def test_model_with_unsorted_level_is_rejected(tmp_path, bigrams):
+    path = tmp_path / "unsorted.nglm"
+    _write_levels(path, [UNIGRAMS, bigrams])
+    with pytest.raises(ModelFormatError, match="order-2 gram"):
+        read_model(path)
+
+
+def test_model_with_missing_suffix_is_rejected(tmp_path):
+    # `zq` needs the unigram `q`, which this file lacks.
+    path = tmp_path / "open.nglm"
+    _write_levels(path, [[("a", 1), ("b", 2)], [("ab", 2), ("zq", 1)]])
+    with pytest.raises(ModelFormatError, match="'zq' has no order-1 suffix"):
+        read_model(path)

@@ -16,7 +16,9 @@ them all: per workload and end-to-end metric of BENCHMARK.json, the
 quartiles of each side, the relative change of the medians, the pairs the
 change won, and whether the change stays within the metric's bound. A claim
 holds when the change wins at least 9 of every 10 pairs and the medians
-differ in its favour by more than the parent's interquartile range.
+differ in its favour by more than the parent's interquartile range. The
+`--trace 1` runs are summarised by `traced_medians`: per workload and side,
+the median of every layer metric, and the change's relative to the parent's.
 """
 
 from __future__ import annotations
@@ -152,6 +154,31 @@ def traced(runs: list[dict]) -> dict:
     return out
 
 
+def traced_medians(runs: list[dict]) -> dict:
+    """Per workload, each side's median of every traced layer metric and the
+    change's median relative to the parent's. One traced run cannot place a
+    saving, since the host's speed drifts within a run; medians over several
+    can. A layer a run did not report (null) is left out of that median."""
+    by_side = traced(runs)
+    out: dict = {}
+    for workload, sides in by_side.items():
+        if not all(sides.get(s) for s in SIDES):
+            continue
+        names = dict.fromkeys(k for s in SIDES for rec in sides[s] for k in rec["layers"])
+        layers: dict = {}
+        for name in names:
+            med = {}
+            for s in SIDES:
+                values = [rec["layers"].get(name) for rec in sides[s]]
+                values = [v for v in values if v is not None]
+                med[s] = round(statistics.median(values), 4) if values else None
+            parent, change = med["parent"], med["change"]
+            rel = None if not parent or change is None else round(change / parent - 1, 4)
+            layers[name] = {**med, "median_change": rel}
+        out[workload] = {"runs": {s: len(sides[s]) for s in SIDES}, "layers": layers}
+    return out
+
+
 def rss_per_run(runs: list[dict]) -> list[dict]:
     return [{"side": r["side"], "workload": r["workload"], "seed": r["seed"],
              "trace": r["trace"], "run_count": r["rss"]["run_count"],
@@ -194,6 +221,7 @@ def run_pairs(args: argparse.Namespace) -> int:
         doc["summary"] = summarise(runs, metrics, args.claim)
         doc["claim"] = doc["summary"].pop("claim", None)
         doc["traced"] = traced(runs)
+        doc["traced_medians"] = traced_medians(runs)
         doc["rss_per_run"] = rss_per_run(runs)
         out.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
