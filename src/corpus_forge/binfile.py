@@ -1,4 +1,4 @@
-"""The container of every binary file (`NGLM`, `MHSG`, `EMB1`): a 4-byte
+"""The container of every binary file (`NGLM`, `EMB1`): a 4-byte
 magic, a u32 version, the format's body, then the CRC-32 (zlib) of every
 byte before it, as PNG checksums its chunks. Little-endian throughout. A
 reader accepts one version of its format and no other."""
@@ -43,7 +43,7 @@ class Reader:
     """A file, its magic, version and checksum checked, read by bounds-checked calls. Any
     failure, or ValueError in the `with` block, raises `error`; a clean exit checks the end."""
 
-    def __init__(self, path: str | Path, magic: bytes, version: int, error=FormatError):
+    def __init__(self, path: str | Path, magic: bytes, version: int, error: type[FormatError]):
         self.path, self._error, self._pos = path, error, 8
         data = Path(path).read_bytes()
         if data[:4] != magic:
@@ -74,14 +74,11 @@ class Reader:
         raw = self._take(count * np.dtype(dtype).itemsize, what)
         return np.frombuffer(raw, dtype=dtype).copy()
 
-    def at_end(self) -> bool:
-        return self._pos == len(self._body)
-
     def __enter__(self) -> "Reader":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None and not self.at_end():
+        if exc_type is None and self._pos != len(self._body):
             raise self.fail("trailing bytes after the data")
         if isinstance(exc, ValueError) and not isinstance(exc, FormatError):
             raise self.fail(str(exc)) from exc  # e.g. bad UTF-8, or a value the type rejects

@@ -117,7 +117,7 @@ def _cmd_dedup_run(args) -> int:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = ("intra", "cross") if args.stage == "both" else (args.stage,)
-    dedup.write_dedup_outputs(lambda name: out_dir / name, result, cfg, stages)
+    dedup.write_dedup_outputs(lambda name: out_dir / name, result, stages)
     survivors = result.intra_survivors if args.stage == "intra" else result.survivors
     write_documents(out_dir / "survivors.jsonl", survivors)
     for st in stages:

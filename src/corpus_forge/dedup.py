@@ -11,7 +11,6 @@ from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
-from . import binfile
 from .config import NOT_A_KEY
 from .documents import Document, write_jsonl
 from .kernels import U64_MAX, hash_byte_strings, minhash_values
@@ -299,7 +298,6 @@ class DedupResult:
     survivors: list[Document]  # ingestion order
     intra_survivors: list[Document]  # survivors of stage "intra" alone, ingestion order
     ids: list[str]  # all input ids, ingestion order
-    matrix: np.ndarray  # signatures of all inputs, one row per id
 
 
 def dedup_corpus(
@@ -345,19 +343,15 @@ def dedup_corpus(
         survivors=[docs[i] for i in survivors if i not in cross_removed],
         intra_survivors=[docs[i] for i in survivors],
         ids=ids,
-        matrix=matrix,
     )
 
 
 def write_dedup_outputs(
     path: Callable[[str], Path],
     result: DedupResult,
-    cfg: DedupConfig,
     stages: Sequence[str] = ("intra", "cross"),
 ) -> None:
-    """The signature cache and one cluster report per stage, each written to
-    `path(file_name)`."""
-    write_signatures(path("signatures.mhsg"), result.ids, result.matrix, cfg)
+    """One cluster report per stage, each written to `path(file_name)`."""
     for st in stages:
         write_cluster_report(path(f"clusters_{st}.jsonl"), result.reports[st])
 
@@ -369,28 +363,3 @@ def write_cluster_report(path: str | Path, report: DedupReport) -> int:
         path, ({"stage": report.stage, "cluster": c, "kept": c[0]} for c in report.clusters)
     )
 
-
-SIG_MAGIC, SIG_VERSION = b"MHSG", 1
-
-
-def write_signatures(path: str | Path, ids: Sequence[str], matrix: np.ndarray,
-                     cfg: DedupConfig) -> None:
-    """`MHSG` signature cache, streamed. Body (see binfile): num_perm u32, seed
-    u64, then per document a u32-length-prefixed UTF-8 id and num_perm u64s."""
-    with binfile.Writer(path, SIG_MAGIC, SIG_VERSION) as out:
-        out.pack("IQ", cfg.num_perm, cfg.seed)
-        for i, doc_id in enumerate(ids):
-            raw = doc_id.encode("utf-8")
-            out.pack(f"I{len(raw)}s", len(raw), raw)
-            out.write(matrix[i].astype("<u8").tobytes())
-
-
-def read_signatures(path: str | Path) -> tuple[list[str], np.ndarray, int]:
-    """Returns (ids, matrix, seed); raises binfile.FormatError for a bad file."""
-    with binfile.Reader(path, SIG_MAGIC, SIG_VERSION) as r:
-        num_perm, seed = r.unpack("IQ")
-        ids, rows = [], []
-        while not r.at_end():
-            ids.append(r.text(*r.unpack("I"), "id"))
-            rows.append(r.array("<u8", num_perm, "signature record"))
-    return ids, np.array(rows, dtype=np.uint64).reshape(len(ids), num_perm), seed

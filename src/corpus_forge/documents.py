@@ -114,6 +114,10 @@ class Document:
         return replace(self, scores={**(self.scores or {}), name: float(value)})
 
 
+# Valid UTF-8 decodes to no surrogate, so only a JSON escape can put one in a string.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _loads(line: str, where: str) -> dict[str, Any]:
     try:
         obj = json.loads(line)
@@ -121,6 +125,13 @@ def _loads(line: str, where: str) -> dict[str, Any]:
         raise ParseError(f"{where}: malformed JSON ({exc.msg} at column {exc.colno})") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    if "\\" in line and _SURROGATE_ESCAPE.search(line):
+        try:
+            _dumps(obj).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(
+                f"{where}: lone surrogate {exc.object[exc.start]!r} in a string"
+            ) from None
     return obj
 
 

@@ -66,8 +66,10 @@ def split_paragraphs(text: str) -> list[str]:
 def _estimate_discounts(count_of_counts: Counter) -> tuple[float, float, float]:
     """Modified Kneser-Ney discounts from count-of-count buckets.
 
-    Falls back to fixed discounts when any of t1..t4 is empty (tiny corpora),
-    and clamps at zero so probability mass never goes negative.
+    Falls back to fixed discounts when any of t1..t4 is empty (tiny corpora)
+    or any estimate is not positive, as KenLM's --discount_fallback does: a
+    zero discount leaves a context no back-off mass, so an unseen successor
+    would get probability 0. Each D_k < k, since y and every t_k are positive.
     """
     t1, t2, t3, t4 = (count_of_counts.get(k, 0) for k in (1, 2, 3, 4))
     if min(t1, t2, t3, t4) == 0:
@@ -76,7 +78,9 @@ def _estimate_discounts(count_of_counts: Counter) -> tuple[float, float, float]:
     d1 = 1.0 - 2.0 * y * t2 / t1
     d2 = 2.0 - 3.0 * y * t3 / t2
     d3 = 3.0 - 4.0 * y * t4 / t3
-    return (max(d1, 0.0), max(d2, 0.0), max(d3, 0.0))
+    if min(d1, d2, d3) <= 0.0:
+        return FALLBACK_DISCOUNTS
+    return (d1, d2, d3)
 
 
 class NGramLM:

@@ -331,7 +331,7 @@ def _stage_dedup(cfg: PipelineConfig, out: _StageDir) -> Counts:
     datasets = [(ds.name, _docs(cfg, "dedup", ds)) for ds in cfg.datasets]
     skip = [ds.name for ds in cfg.datasets if ds.pre_deduplicated]
     result = dedup.dedup_corpus(datasets, dcfg, skip_intra=skip)
-    dedup.write_dedup_outputs(out.path, result, dcfg)
+    dedup.write_dedup_outputs(out.path, result)
 
     by_dataset: dict[str, list[Document]] = {ds.name: [] for ds in cfg.datasets}
     for doc in result.survivors:

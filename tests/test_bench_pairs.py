@@ -102,3 +102,23 @@ def test_traced_medians_per_workload_and_side():
     # The parent's null is left out: median of 2.0 and 1.0.
     assert got["fluency.score_s"] == {"parent": 1.5, "change": 0.5, "median_change": -0.6667}
     assert got["dedup.hash_s"] == {"parent": 0, "change": 0, "median_change": None}
+
+
+def test_compare_trees_names_each_differing_and_one_sided_file(tmp_path):
+    files = {
+        "parent": {"same.json": b"{}", "dedup/sig.bin": b"x", "tok/v.json": b"1",
+                   "empty": b""},
+        "change": {"same.json": b"{}", "tok/v.json": b"2", "tok/new.json": b"n",
+                   "empty": b""},
+    }
+    for side, tree in files.items():
+        for rel, data in tree.items():
+            (tmp_path / side / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / rel).write_bytes(data)
+    (tmp_path / "change" / "only_a_dir").mkdir()
+    assert bench_pairs.compare_trees(tmp_path / "parent", tmp_path / "change") == [
+        "parent only: dedup/sig.bin",
+        "change only: tok/new.json",
+        "differs: tok/v.json",
+    ]
+    assert bench_pairs.compare_trees(tmp_path / "parent", tmp_path / "parent") == []

@@ -1,22 +1,16 @@
-"""The binary container shared by NGLM, MHSG and EMB1: every flipped byte,
+"""The binary container shared by NGLM and EMB1: every flipped byte,
 every cut and every other version of a file raises the format's own error."""
 
 import numpy as np
 import pytest
 
-from corpus_forge import binfile, dedup, embeddings, fluency
+from corpus_forge import binfile, embeddings, fluency
 from corpus_forge.documents import Document
 
 
 def _write_nglm(path):
     docs = [Document(id="d", text="καλημέρα κόσμε abab\n\nγεια σου κόσμε")]
     fluency.write_model(fluency.train_ngram_lm(docs, order=3), path)
-
-
-def _write_mhsg(path):
-    cfg = dedup.DedupConfig(num_perm=4, seed=1)
-    matrix = np.arange(12, dtype=np.uint64).reshape(3, 4) * np.uint64(0x0101010101)
-    dedup.write_signatures(path, ["a", "βήτα", ""], matrix, cfg)
 
 
 def _write_emb1(path):
@@ -27,7 +21,6 @@ def _write_emb1(path):
 
 FORMATS = {
     "NGLM": (_write_nglm, fluency.read_model, fluency.ModelFormatError, fluency.VERSION),
-    "MHSG": (_write_mhsg, dedup.read_signatures, binfile.FormatError, dedup.SIG_VERSION),
     "EMB1": (_write_emb1, embeddings.read_matrix, embeddings.MatrixFormatError,
              embeddings.VERSION),
 }
@@ -60,12 +53,11 @@ def test_every_flip_cut_and_version_raises_the_format_error(tmp_path, fmt):
 
 
 def test_sound_checksum_over_a_bad_body_raises_the_format_error(tmp_path):
-    path = tmp_path / "sigs.mhsg"
-    with binfile.Writer(path, dedup.SIG_MAGIC, dedup.SIG_VERSION) as out:
-        out.pack("IQ", 1, 0)
-        out.pack("I2sQ", 2, b"\xff\xfe", 7)  # an id that is not UTF-8
-    with pytest.raises(binfile.FormatError, match="utf-8"):
-        dedup.read_signatures(path)
+    path = tmp_path / "model.nglm"
+    with binfile.Writer(path, fluency.MAGIC, fluency.VERSION) as out:
+        out.pack("IdI2s", 2, 1.0, 2, b"\xff\xfe")  # a vocabulary that is not UTF-8
+    with pytest.raises(fluency.ModelFormatError, match="utf-8"):
+        fluency.read_model(path)
 
     with binfile.Writer(path, fluency.MAGIC, fluency.VERSION) as out:
         out.pack("IdIQ", 1, 1.0, 0, 0)  # an order-1 model with one empty table
@@ -86,11 +78,11 @@ def test_sound_checksum_over_a_bad_body_raises_the_format_error(tmp_path):
 
 
 def test_failed_write_leaves_no_checksum(tmp_path):
-    path = tmp_path / "sigs.mhsg"
+    path = tmp_path / "model.nglm"
     with pytest.raises(KeyError):
-        with binfile.Writer(path, dedup.SIG_MAGIC, dedup.SIG_VERSION) as out:
-            out.pack("IQ", 4, 1)
+        with binfile.Writer(path, fluency.MAGIC, fluency.VERSION) as out:
+            out.pack("Id", 2, 1.0)
             raise KeyError("writer failed")
     assert path.stat().st_size == 20
-    with pytest.raises(binfile.FormatError, match="checksum"):
-        dedup.read_signatures(path)
+    with pytest.raises(fluency.ModelFormatError, match="checksum"):
+        fluency.read_model(path)

@@ -6,10 +6,10 @@ from helpers import build_cluster_corpus, oracle_clusters
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_forge.binfile import FormatError
 from corpus_forge.dedup import (
     DedupConfig,
     _cluster,
+    _signature_matrix,
     candidate_pairs,
     collision_probability,
     dedup_corpus,
@@ -17,11 +17,9 @@ from corpus_forge.dedup import (
     exact_jaccard,
     minhash_signature,
     optimal_bands,
-    read_signatures,
     shingle,
     signature_values,
     write_cluster_report,
-    write_signatures,
 )
 from corpus_forge.documents import Document
 
@@ -327,35 +325,9 @@ def test_template_family_pairs_grow_linearly():
     cfg = DedupConfig(seed=6)
     result = dedup_corpus([("x", docs)], cfg)
     bands, rows = cfg.banding()
-    assert len(candidate_pairs(result.matrix, bands, rows)) <= bands * 399
+    matrix, _ = _signature_matrix([d.text for d in docs], cfg)
+    assert len(candidate_pairs(matrix, bands, rows)) <= bands * 399
     assert [d.id for d in result.survivors] == ["d0"]
-
-
-def test_signature_cache_roundtrip(tmp_path):
-    cfg = DedupConfig(num_perm=32, seed=13)
-    docs = _docs(["μία πρόταση εδώ", "another sentence there", ""])
-    result = dedup_corpus([("x", docs)], cfg)
-    path = tmp_path / "sigs.mhsg"
-    write_signatures(path, result.ids, result.matrix, cfg)
-    ids, matrix, seed = read_signatures(path)
-    assert ids == result.ids
-    assert seed == cfg.seed
-    assert (matrix == result.matrix).all()
-    bad = tmp_path / "nope.mhsg"
-    bad.write_bytes(b"BAD!")
-    with pytest.raises(ValueError):
-        read_signatures(bad)
-
-
-def test_truncated_signature_cache_rejected(tmp_path):
-    cfg = DedupConfig(num_perm=4, seed=1)
-    path = tmp_path / "sigs.mhsg"
-    write_signatures(path, ["a", "b"], np.arange(8, dtype=np.uint64).reshape(2, 4), cfg)
-    data = path.read_bytes()
-    for cut in range(len(data)):  # record boundaries included
-        path.write_bytes(data[:cut])
-        with pytest.raises(FormatError):
-            read_signatures(path)
 
 
 def test_cluster_report_jsonl(tmp_path):

@@ -189,6 +189,30 @@ def test_cli_names_path_and_line_of_a_bad_record(tmp_path, capsys, command, good
     assert err.startswith(f"error: {path}:3: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("bad", [
+    '{"id":"b","text":"x\\ud800y"}',
+    '{"id":"b","text":"x\\udc00"}',
+    '{"id":"b","text":"\\udc00\\ud800"}',
+    '{"id":"\\uDBFF","text":"x"}',
+    '{"id":"b","text":"x","metadata":{"\\udfff":1}}',
+], ids=["high", "low", "reversed", "id", "key"])
+def test_cli_names_path_and_line_of_a_lone_surrogate(tmp_path, capsys, bad):
+    # UTF-8 cannot encode a lone surrogate; a JSON escape is the only way a
+    # UTF-8 file can carry one, so the record is rejected where it is read.
+    path = tmp_path / "in.jsonl"
+    path.write_text(f'{{"id":"a","text":"ένα"}}\n{bad}\n', encoding="utf-8")
+    assert main(["ingest", str(path), "--out", str(tmp_path / "out.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: lone surrogate") and err.count("\n") == 1, err
+
+
+def test_escaped_surrogate_pair_loads(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"id":"a","text":"\\ud83d\\ude00 \\uD83D\\uDE00 \\ud7ff"}\n',
+                    encoding="utf-8")
+    assert [d.text for d in read_documents(path)] == ["\U0001f600 \U0001f600 \ud7ff"]
+
+
 @pytest.mark.parametrize("read, line", [
     (read_documents, '{"id":"a","text":"x","scores":{"fluency":"high"}}'),
     (read_pairs, '{"src":"a","tgt":5}'),

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from corpus_forge import binfile
 from corpus_forge.documents import Document
 from corpus_forge.fluency import (
     BOS,
+    FALLBACK_DISCOUNTS,
     MAGIC,
     VERSION,
     UNK,
@@ -60,6 +62,21 @@ def test_hand_computed_two_symbol_corpus():
     p_a_bos = (1 - d1) / 1 + (d1 / 1) * p1_a
     assert math.isclose(lm.prob("a", ""), float(p_a_bos), abs_tol=1e-12)
     assert lm.prob("a", "") == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("seed", [4, 16])
+def test_level_with_a_discount_estimate_at_zero_falls_back(seed):
+    # Skewed text whose order-2 level estimates D3+ <= 0 (seed 4) or D2 and
+    # D3+ <= 0 (seed 16). That level takes the fixed discounts, so a context
+    # whose successors all occur three or more times keeps back-off mass and
+    # an unseen successor a positive probability.
+    text = "".join(random.Random(seed).choices("abcdef", weights=[50, 25, 12, 8, 4, 1], k=685))
+    lm = _lm(text)
+    assert lm._discounts[1] == FALLBACK_DISCOUNTS
+    assert math.isfinite(lm.log_prob("abcdefabcdeffedcbaaffeeddc"))
+    for ctx in "abcdef" + BOS:
+        assert sum(lm.prob(w, ctx) for w in lm.vocab) == pytest.approx(1.0)
+        assert min(lm.prob(w, ctx) for w in lm.vocab) > 0.0
 
 
 def test_hand_computed_four_symbol_corpus():

@@ -23,7 +23,6 @@ from corpus_forge.fluency import (
     BOS,
     UNK,
     TrainError,
-    _estimate_discounts,
     _holdout_pick,
     normalize_text,
     read_model,
@@ -55,6 +54,21 @@ def oracle_count_levels(sequences, order):
     return levels, vocab, n_chars
 
 
+def oracle_discounts(count_of_counts):
+    """Chen & Goodman's modified Kneser-Ney estimates; the fixed (0.5, 1, 1.5)
+    when a bucket t1..t4 is empty or an estimate is not positive."""
+    t1, t2, t3, t4 = (count_of_counts.get(k, 0) for k in (1, 2, 3, 4))
+    if min(t1, t2, t3, t4) == 0:
+        return (0.5, 1.0, 1.5)
+    y = t1 / (t1 + 2.0 * t2)
+    d1 = 1.0 - 2.0 * y * t2 / t1
+    d2 = 2.0 - 3.0 * y * t3 / t2
+    d3 = 3.0 - 4.0 * y * t4 / t3
+    if min(d1, d2, d3) <= 0.0:
+        return (0.5, 1.0, 1.5)
+    return (d1, d2, d3)
+
+
 class OracleLM:
     def __init__(self, order, level_counts, vocab, h_ref):
         self.order = order
@@ -63,7 +77,7 @@ class OracleLM:
         self.h_ref = h_ref
         self._uniform = 1.0 / len(self.vocab)
         self._discounts = [
-            _estimate_discounts(Counter(level_counts[m].values())) for m in range(order)
+            oracle_discounts(Counter(level_counts[m].values())) for m in range(order)
         ]
         self._tables = self._build_tables()
 
@@ -216,12 +230,20 @@ queries = st.lists(
 texts = st.lists(st.text(alphabet=SEEN + UNSEEN + "\n", max_size=200), max_size=4)
 
 
+# Skewed text whose order-2 level estimates a discount <= 0, so that level
+# falls back to the fixed discounts.
+CLAMPED = "".join(random.Random(4).choices("abcdef", weights=[50, 25, 12, 8, 4, 1], k=685))
+
+
 def _value(f, *args):
-    """f(*args), or the message of the ValueError it raises (a TrainError,
-    or the log of a zero probability when a discount clamps to zero)."""
+    """f(*args), or the message of the ValueError it raises: a TrainError, or
+    a text with nothing to score. The log of a zero probability is no such
+    error: every probability is positive."""
     try:
         return f(*args)
     except ValueError as exc:
+        if str(exc) == "math domain error":
+            raise
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -232,6 +254,7 @@ def _train(train, texts_, *args):
 
 def _outputs(lm, query_list, text_list):
     out = [lm.prob(char, ctx) for char, ctx in query_list]
+    assert all(p > 0.0 for p in out)
     out += [_value(lm.log_prob, t) for t in text_list]
     out += [_value(lm.document_score, t) for t in text_list]
     return out
@@ -251,6 +274,11 @@ def _outputs(lm, query_list, text_list):
     order=5, holdout=0.0, seed=0,
     query_list=[("ω", "αβγ"), ("q", "ab"), ("a", ""), ("γ", "☃β"), ("β", "aaaaaaaa")],
     text_list=["αβγω aqb", "☃☃ αβ\n\nbaby"],
+)
+@example(
+    corpus=[CLAMPED], order=2, holdout=0.0, seed=0,
+    query_list=[("f", "f"), ("q", "a"), ("a", "e")],
+    text_list=["abcdefabcdeffedcbaaffeeddc"],
 )
 def test_model_matches_the_recursion_oracle(corpus, order, holdout, seed, query_list, text_list):
     lm, error = _train(train_ngram_lm, corpus, order, holdout, seed)

@@ -241,6 +241,13 @@ def test_stage_outputs_exist(demo_run):
             assert not target.name.endswith(".partial")
 
 
+def test_dedup_writes_cluster_reports_summary_and_survivors(demo_run):
+    cfg, _, out = demo_run
+    expected = {"clusters_intra.jsonl", "clusters_cross.jsonl", "summary.json"}
+    expected |= {f"{ds.name}.jsonl" for ds in cfg.datasets}
+    assert {p.name for p in (out / "dedup").iterdir()} == expected
+
+
 def test_run_report_written(demo_run):
     _, report, out = demo_run
     payload = json.loads((out / "run_report.json").read_text())
@@ -333,14 +340,18 @@ def test_stages_rerun_after_failed_stage(demo_dir, demo_run, tmp_path, monkeypat
     cfg = _load(demo_dir)
     cfg.output_dir = tmp_path / "tree"
 
-    def disk_full(*args, **kwargs):
-        raise OSError("disk full")
+    write_cluster_report = dedup.write_cluster_report
+
+    def disk_full(path, report):  # the second report, "cross", fails
+        if report.stage == "cross":
+            raise OSError("disk full")
+        return write_cluster_report(path, report)
 
     monkeypatch.setattr(dedup, "write_cluster_report", disk_full)
     with pytest.raises(StageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "dedup"
-    assert (cfg.output_dir / "dedup" / "signatures.mhsg.partial").exists()
+    assert (cfg.output_dir / "dedup" / "clusters_intra.jsonl.partial").exists()
     monkeypatch.undo()
     for stage in STAGE_NAMES[STAGE_NAMES.index("dedup"):]:
         cfg.stages = [stage]
@@ -674,7 +685,6 @@ def test_cli_dedup_run(tmp_path, demo_dir, capsys):
                f"wiki={demo_dir / 'el_wiki.jsonl'}",
                "--stage", "both", "--out", str(out_dir)])
     assert rc == 0
-    assert (out_dir / "signatures.mhsg").exists()
     assert (out_dir / "survivors.jsonl").exists()
 
 

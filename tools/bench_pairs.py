@@ -19,6 +19,15 @@ holds when the change wins at least 9 of every 10 pairs and the medians
 differ in its favour by more than the parent's interquartile range. The
 `--trace 1` runs are summarised by `traced_medians`: per workload and side,
 the median of every layer metric, and the change's relative to the parent's.
+
+    python3 tools/bench_pairs.py trees --parent ../parent --change . --work ../trees
+
+`trees` checks that a change leaves the outputs alone. It writes the seed-1
+inputs of every workload from the parent's `perfbench/gen.py` and a
+20,000-document demo corpus from the parent's `corpus-forge synth`, runs
+`corpus-forge run` on each from both checkouts at `--threads` 1 and 2, and
+prints each output file that differs and each file present on one side
+only. It exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -239,6 +249,59 @@ def run_pairs(args: argparse.Namespace) -> int:
     return 0
 
 
+def compare_trees(parent: Path, change: Path) -> list[str]:
+    """One line per file that differs between two output trees or is in one only."""
+    files = [{p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
+             for root in (parent, change)]
+    lines = []
+    for rel in sorted(files[0].keys() | files[1].keys()):
+        found = [side.get(rel) for side in files]
+        if found[1] is None:
+            lines.append(f"parent only: {rel}")
+        elif found[0] is None:
+            lines.append(f"change only: {rel}")
+        elif found[0].read_bytes() != found[1].read_bytes():
+            lines.append(f"differs: {rel}")
+    return lines
+
+
+def _cli(checkout: Path, argv: list[str]) -> None:
+    """`corpus-forge ARGV...` from `checkout`'s source tree."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-m", "corpus_forge.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: corpus-forge {' '.join(argv)}\n{proc.stderr}")
+
+
+def run_trees(args: argparse.Namespace) -> int:
+    checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    work = Path(args.work).resolve()
+    spec = importlib.util.spec_from_file_location(
+        "parent_gen", checkouts["parent"] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    configs = {w: gen.generate(w, 1, work / "inputs" / w)["config"] for w in gen.WORKLOADS}
+    synth_dir = work / "inputs" / "synth_20k"
+    _cli(checkouts["parent"], ["synth", "--docs", "20000", "--out", str(synth_dir)])
+    configs["synth_20k"] = synth_dir / "config.json"
+    differences = 0
+    for name, config in configs.items():
+        for threads in (1, 2):
+            trees = {}
+            for side, checkout in checkouts.items():
+                trees[side] = work / "trees" / side / f"{name}-t{threads}"
+                shutil.rmtree(trees[side], ignore_errors=True)
+                _cli(checkout, ["run", "--config", str(config), "--threads", str(threads),
+                                "--out", str(trees[side])])
+            lines = compare_trees(trees["parent"], trees["change"])
+            for line in lines:
+                print(f"{name} threads {threads}: {line}")
+            print(f"{name} threads {threads}: {len(lines)} differences", file=sys.stderr)
+            differences += len(lines)
+    return 1 if differences else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -250,6 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     p.add_argument("--seconds", type=float, default=10)
     p.add_argument("--out", required=True, help="results file, extended if it exists")
+    t = sub.add_parser("trees", help="compare parent and change output trees, file by file")
+    t.add_argument("--parent", required=True, help="checkout of the parent commit")
+    t.add_argument("--change", required=True, help="checkout of the change")
+    t.add_argument("--work", required=True, help="directory for the inputs and the trees")
     i = sub.add_parser("invoke", help="one perfbench/run.py invocation with RSS per run")
     i.add_argument("checkout")
     i.add_argument("rss_out")
@@ -258,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "invoke":
         run_args = args.run_args[1:] if args.run_args[:1] == ["--"] else args.run_args
         return invoke(Path(args.checkout), Path(args.rss_out), run_args)
-    return run_pairs(args)
+    return run_trees(args) if args.command == "trees" else run_pairs(args)
 
 
 if __name__ == "__main__":
