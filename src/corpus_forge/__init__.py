@@ -9,6 +9,7 @@ preference-data preparation.
 from .documents import (
     CorpusStats,
     Document,
+    DocumentFile,
     Extraction,
     corpus_stats,
     parse_document,
@@ -24,6 +25,7 @@ from .dedup import (
     Signature,
     dedup_corpus,
     estimate_jaccard,
+    kept_documents,
     minhash_signature,
     optimal_bands,
     shingle,
@@ -53,6 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CorpusStats",
     "Document",
+    "DocumentFile",
     "Extraction",
     "corpus_stats",
     "parse_document",
@@ -71,6 +74,7 @@ __all__ = [
     "Signature",
     "dedup_corpus",
     "estimate_jaccard",
+    "kept_documents",
     "minhash_signature",
     "optimal_bands",
     "shingle",

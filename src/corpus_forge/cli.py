@@ -13,6 +13,7 @@ from . import alignment as align_mod
 from . import bpe, dedup, embeddings, fluency, parallel, schedule, synth
 from .config import ConfigValidationError, config_keys, load_section
 from .documents import (
+    DocumentFile,
     Extraction,
     canonicalize,
     corpus_stats,
@@ -112,14 +113,14 @@ def _cmd_dedup_run(args) -> int:
     skip = set(args.skip_intra or [])
     if args.stage == "cross":
         skip = {name for name, _ in specs}
-    datasets = [(name, read_documents(path)) for name, path in specs]
+    datasets = [(name, DocumentFile(path)) for name, path in specs]
     result = dedup.dedup_corpus(datasets, cfg, skip_intra=skip)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = ("intra", "cross") if args.stage == "both" else (args.stage,)
     dedup.write_dedup_outputs(lambda name: out_dir / name, result, stages)
-    survivors = result.intra_survivors if args.stage == "intra" else result.survivors
-    write_documents(out_dir / "survivors.jsonl", survivors)
+    removed = result.removed_indices(("intra",) if args.stage == "intra" else ("intra", "cross"))
+    write_documents(out_dir / "survivors.jsonl", dedup.kept_documents(datasets, removed))
     for st in stages:
         summary = result.reports[st].summary()
         print(f"{st}: input={summary['input']} removed={summary['removed']} "

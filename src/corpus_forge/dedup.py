@@ -3,11 +3,12 @@ two-stage (within-dataset, then cross-dataset) duplicate removal."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -93,13 +94,20 @@ class DedupReport:
     def validate(self, input_ids: Collection[str]) -> None:
         """Raise AssertionError unless the stage saw `input_ids` and its kept and
         removed documents, by ingestion index, partition them, one kept per cluster."""
-        members = set(self.members)
-        removed = self.removed_indices()
-        if {self.ids[i] for i in members} != set(input_ids) or not removed <= members:
+        if {self.ids[i] for i in self.members} != set(input_ids):
+            raise AssertionError("the stage must see exactly the input documents")
+        self.check_clusters()
+
+    def check_clusters(self) -> None:
+        """Raise AssertionError unless the clusters are disjoint sets of the
+        stage's members, so each keeps exactly its first."""
+        members = np.asarray(self.members, dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(self.index_clusters), dtype=np.int64)
+        pos = np.minimum(np.searchsorted(members, flat), max(len(members) - 1, 0))
+        if len(flat) and (not len(members) or (members[pos] != flat).any()):
             raise AssertionError("kept/removed must partition the input documents")
-        for cluster in self.index_clusters:
-            if sum(i in members and i not in removed for i in cluster) != 1:
-                raise AssertionError("each cluster must keep exactly one member")
+        if len(np.unique(flat)) != len(flat):
+            raise AssertionError("each cluster must keep exactly one member")
 
 
 def shingle(text: str, n: int) -> set[str]:
@@ -189,54 +197,90 @@ def optimal_bands(num_perm: int, threshold: float, step: float = 1e-4) -> tuple[
 
 
 class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
+    """Union by rank with path compression over the indices that get joined;
+    an index never joined is its own root and holds no entry."""
+
+    def __init__(self) -> None:
+        self.parent: dict[int, int] = {}
+        self.rank: dict[int, int] = {}
 
     def find(self, x: int) -> int:
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while (up := parent.get(root, root)) != root:
+            root = up
+        while x != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, x: int, y: int) -> None:
         px, py = self.find(x), self.find(y)
         if px == py:
             return
-        if self.rank[px] < self.rank[py]:
+        rank = self.rank
+        if rank.get(px, 0) < rank.get(py, 0):
             px, py = py, px
         self.parent[py] = px
-        if self.rank[px] == self.rank[py]:
-            self.rank[px] += 1
+        self.parent.setdefault(px, px)
+        if rank.get(px, 0) == rank.get(py, 0):
+            rank[px] = rank.get(px, 0) + 1
+
+    def groups(self) -> list[list[int]]:
+        """Every set of joined indices, ascending, ordered by first index."""
+        groups: dict[int, list[int]] = {}
+        for i in sorted(self.parent):
+            groups.setdefault(self.find(i), []).append(i)
+        return list(groups.values())
 
 
-def candidate_pairs(
-    matrix: np.ndarray, bands: int, rows: int, active: Sequence[int] | None = None,
-    all_pairs: bool = False,
-) -> list[tuple[int, int]]:
+def band_digests(matrix: np.ndarray, bands: int, rows: int) -> np.ndarray:
+    """(n, bands, 2) uint64: the 128-bit BLAKE2b digest of each signature
+    row's values in each band. Rows that agree on a band share its digest;
+    rows that differ share it only by a collision."""
+    width = rows * 8
+    blob = memoryview(np.ascontiguousarray(matrix[:, : bands * rows]).tobytes())
+    digests = b"".join(
+        hashlib.blake2b(blob[o : o + width], digest_size=16).digest()
+        for o in range(0, len(blob), width)
+    )
+    return np.frombuffer(digests, dtype=np.uint64).reshape(matrix.shape[0], bands, 2)
+
+
+def _sorted_band(
+    digests: np.ndarray, members: np.ndarray, band: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`members` sorted by their digest of `band`, ties by index, so each
+    LSH bucket is a run of ascending indices; and for each position after
+    the first, whether it shares the bucket of the one before."""
+    keys = digests[members, band]
+    order = np.lexsort((members, keys[:, 1], keys[:, 0]))
+    keys = keys[order]
+    return members[order], (keys[1:] == keys[:-1]).all(axis=1)
+
+
+def candidate_pairs(digests: np.ndarray, members: np.ndarray) -> list[tuple[int, int]]:
     """Index pairs linking the members of each LSH band bucket, per band.
 
-    Each bucket member is paired with the one before it: at most bands*(n-1)
-    pairs, with the connected components of all pairs sharing a bucket.
-    `all_pairs` returns every pair of each bucket instead, for callers that
-    drop pairs. `active` restricts banding to a subset of rows of the
-    signature matrix (used to exclude empty-shingle sentinel signatures).
+    `members` are ascending ingestion indices into `digests` (see
+    `band_digests`). Each bucket member is paired with the one before it:
+    at most bands*(n-1) pairs, with the connected components of all pairs
+    sharing a bucket.
     """
-    indices = range(matrix.shape[0]) if active is None else active
     pairs: list[tuple[int, int]] = []
-    for band in range(bands):
-        lo, hi = band * rows, (band + 1) * rows
-        buckets: dict[bytes, list[int]] = {}
-        for i in indices:
-            buckets.setdefault(matrix[i, lo:hi].tobytes(), []).append(i)
-        for members in buckets.values():
-            if all_pairs:
-                pairs.extend(itertools.combinations(members, 2))
-            else:
-                pairs.extend(zip(members, members[1:]))
+    for band in range(digests.shape[1]):
+        ranked, same = _sorted_band(digests, members, band)
+        pairs.extend(zip(ranked[:-1][same].tolist(), ranked[1:][same].tolist()))
     return pairs
+
+
+def _buckets(digests: np.ndarray, members: np.ndarray) -> Iterator[list[int]]:
+    """Each LSH bucket of two or more `members`, per band, ascending."""
+    for band in range(digests.shape[1]):
+        ranked, same = _sorted_band(digests, members, band)
+        edges = np.diff(np.concatenate(([0], same.view(np.int8), [0])))
+        starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            yield ranked[start:stop].tolist()
 
 
 def _signature_matrix(texts: Sequence[str], cfg: DedupConfig) -> tuple[np.ndarray, list[bool]]:
@@ -251,36 +295,34 @@ def _signature_matrix(texts: Sequence[str], cfg: DedupConfig) -> tuple[np.ndarra
 
 
 def _cluster(
-    members: Sequence[int],
-    texts: Sequence[str],
-    matrix: np.ndarray,
-    empty: Sequence[bool],
+    members: np.ndarray,
+    digests: np.ndarray,
+    empty: np.ndarray,
     cfg: DedupConfig,
+    shingles: Mapping[int, frozenset[str]] | None = None,
 ) -> list[list[int]]:
-    """Duplicate clusters among `members` (ascending indices into texts,
-    matrix and empty): connected components of the LSH candidate pairs, each
-    pair verified by exact Jaccard if verify_candidates. Clusters are
-    ascending and ordered by their first member."""
-    bands, rows = cfg.banding()
-    active = [i for i in members if not empty[i]]
-    pairs = candidate_pairs(matrix, bands, rows, active, all_pairs=cfg.verify_candidates)
-    uf = _UnionFind(len(matrix))
-
-    @lru_cache(maxsize=None)
-    def shingles_of(i: int) -> frozenset[str]:
-        return frozenset(shingle(texts[i], cfg.shingle_n))
-
-    for a, b in pairs:
-        if uf.find(a) == uf.find(b):
-            continue
-        if (cfg.verify_candidates
-                and exact_jaccard(shingles_of(a), shingles_of(b)) < cfg.jaccard_threshold):
-            continue
-        uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for i in members:
-        groups.setdefault(uf.find(i), []).append(i)
-    return [group for group in groups.values() if len(group) > 1]
+    """Duplicate clusters among `members` (ascending ingestion indices into
+    digests and empty): connected components of the pairs sharing an LSH
+    bucket, each pair checked by the exact Jaccard of its `shingles` if
+    verify_candidates. Clusters are ascending and ordered by their first
+    member."""
+    active = members[~empty[members]]
+    uf = _UnionFind()
+    if cfg.verify_candidates:
+        # A pair that fails the check does not decide any other, so every
+        # pair of a bucket is walked, one at a time, unless an earlier
+        # band already joined the whole bucket.
+        for bucket in _buckets(digests, active):
+            if len({uf.find(i) for i in bucket}) == 1:
+                continue
+            for a, b in itertools.combinations(bucket, 2):
+                if (uf.find(a) != uf.find(b)
+                        and exact_jaccard(shingles[a], shingles[b]) >= cfg.jaccard_threshold):
+                    uf.union(a, b)
+    else:
+        for a, b in candidate_pairs(digests, active):
+            uf.union(a, b)
+    return uf.groups()
 
 
 def _report(
@@ -288,16 +330,22 @@ def _report(
 ) -> DedupReport:
     """Report of a stage that saw `members` (ingestion indices into ids)."""
     report = DedupReport(stage=stage, ids=ids, members=members, index_clusters=clusters)
-    report.validate([ids[i] for i in members])
+    report.check_clusters()
     return report
 
 
 @dataclass
 class DedupResult:
     reports: dict[str, DedupReport]
-    survivors: list[Document]  # ingestion order
-    intra_survivors: list[Document]  # survivors of stage "intra" alone, ingestion order
     ids: list[str]  # all input ids, ingestion order
+    bounds: list[int]  # each dataset's first ingestion index, then the total
+
+    def removed_indices(self, stages: Sequence[str] = ("intra", "cross")) -> set[int]:
+        """Ingestion indices of the documents that `stages` removed."""
+        return set().union(*(self.reports[st].removed_indices() for st in stages))
+
+
+_CHUNK = 256  # documents per signature matrix
 
 
 def dedup_corpus(
@@ -312,38 +360,63 @@ def dedup_corpus(
     duplicates across datasets. Within a cluster the member with the lowest
     ingestion index is kept. Survivors are decided by ingestion index, so
     documents that share an id are kept or removed independently.
+
+    Documents are streamed: per document only its id, its empty flag and
+    one 128-bit digest per LSH band are held. Each dataset must be
+    re-iterable (a list or a DocumentFile): with verify_candidates it is
+    read a second time for the texts of the documents that share a bucket,
+    and the survivors are not returned but read again by `kept_documents`.
     """
-    skip = set(skip_intra)
-    docs: list[Document] = []
+    if any(iter(docs) is docs for _, docs in datasets):
+        raise TypeError("dedup_corpus needs re-iterable datasets, not iterators")
+    bands, rows = cfg.banding()
     ids: list[str] = []
-    dataset_slices: list[tuple[str, int, int]] = []
-    for name, stream in datasets:
-        start = len(docs)
-        for doc in stream:
-            docs.append(doc)
-            ids.append(doc.id)
-        dataset_slices.append((name, start, len(docs)))
+    flags = bytearray()
+    digest_bytes = bytearray()
+    bounds = [0]
+    for _, docs in datasets:
+        stream = iter(docs)
+        while chunk := list(itertools.islice(stream, _CHUNK)):
+            matrix, empty = _signature_matrix([d.text for d in chunk], cfg)
+            ids.extend(d.id for d in chunk)
+            flags.extend(empty)
+            digest_bytes += band_digests(matrix, bands, rows).data
+        bounds.append(len(ids))
+    n = len(ids)
+    digests = np.frombuffer(digest_bytes, dtype=np.uint64).reshape(n, bands, 2)
+    empty = np.frombuffer(flags, dtype=bool)
 
-    texts = [d.text for d in docs]
-    matrix, empty = _signature_matrix(texts, cfg)
+    shingles = None
+    if cfg.verify_candidates:
+        shared = np.zeros(n, dtype=bool)
+        for bucket in _buckets(digests, np.flatnonzero(~empty)):
+            shared[bucket] = True
+        docs = itertools.chain.from_iterable(docs for _, docs in datasets)
+        shingles = {i: frozenset(shingle(doc.text, cfg.shingle_n))
+                    for i, doc in enumerate(docs) if shared[i]}
 
+    skip = set(skip_intra)
     intra_clusters = [
         cluster
-        for name, start, stop in dataset_slices
+        for (name, _), start, stop in zip(datasets, bounds, bounds[1:])
         if name not in skip
-        for cluster in _cluster(range(start, stop), texts, matrix, empty, cfg)
+        for cluster in _cluster(np.arange(start, stop), digests, empty, cfg, shingles)
     ]
-    intra = _report("intra", ids, range(len(ids)), intra_clusters)
-    intra_removed = intra.removed_indices()
-    survivors = [i for i in range(len(docs)) if i not in intra_removed]
-    cross = _report("cross", ids, survivors, _cluster(survivors, texts, matrix, empty, cfg))
-    cross_removed = cross.removed_indices()
-    return DedupResult(
-        reports={"intra": intra, "cross": cross},
-        survivors=[docs[i] for i in survivors if i not in cross_removed],
-        intra_survivors=[docs[i] for i in survivors],
-        ids=ids,
-    )
+    intra = _report("intra", ids, range(n), intra_clusters)
+    kept = np.ones(n, dtype=bool)
+    kept[np.fromiter(intra.removed_indices(), dtype=np.int64)] = False
+    survivors = np.flatnonzero(kept)
+    cross = _report("cross", ids, survivors, _cluster(survivors, digests, empty, cfg, shingles))
+    return DedupResult(reports={"intra": intra, "cross": cross}, ids=ids, bounds=bounds)
+
+
+def kept_documents(
+    datasets: Sequence[tuple[str, Iterable[Document]]], removed: Collection[int]
+) -> Iterator[Document]:
+    """The second pass: the documents of `datasets`, read again in ingestion
+    order, whose ingestion index is not in `removed`."""
+    docs = itertools.chain.from_iterable(docs for _, docs in datasets)
+    return (doc for i, doc in enumerate(docs) if i not in removed)
 
 
 def write_dedup_outputs(

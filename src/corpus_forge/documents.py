@@ -262,12 +262,35 @@ def open_text(path: str | Path, mode: str = "rt") -> io.TextIOBase:
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
     """(line number, object) for each non-blank line. Raises ParseError for
-    malformed JSON and SchemaError for a value that is not an object, each
-    naming `path:line`."""
-    with open_text(path, "rt") as handle:
-        for line_no, line in enumerate(handle, 1):
-            if line.strip():
-                yield line_no, _loads(line, f"{path}:{line_no}")
+    malformed JSON or bytes that are not UTF-8, and SchemaError for a value
+    that is not an object, each naming `path:line`."""
+    try:
+        with open_text(path, "rt") as handle:
+            for line_no, line in enumerate(handle, 1):
+                if line.strip():
+                    yield line_no, _loads(line, f"{path}:{line_no}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}:{_first_undecodable_line(path)}: not valid UTF-8 "
+            f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from None
+
+
+def _first_undecodable_line(path: str | Path) -> int | None:
+    """Number of the first line of `path` that is not valid UTF-8, with the
+    lines numbered as text-mode reading numbers them (ended by LF, CR or
+    CRLF). The decoder reads ahead, so only a rescan finds the line."""
+    path = Path(path)
+    line_no = 0
+    with (gzip.open(path, "rb") if path.suffix == ".gz" else open(path, "rb")) as handle:
+        for chunk in handle:
+            for line in chunk.splitlines():
+                line_no += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    return line_no
+    return None
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> int:
@@ -292,6 +315,21 @@ def read_documents(path: str | Path) -> Iterator[Document]:
     """Stream documents from a JSONL (optionally .gz) file."""
     for line_no, obj in read_jsonl(path):
         yield _document_from_record(obj, f"{path}:{line_no}")
+
+
+class DocumentFile:
+    """A JSONL document file read anew on each iteration, for consumers that
+    make more than one pass; `datasets` collects the `dataset` field of
+    every document read."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.datasets: set[str] = set()
+
+    def __iter__(self) -> Iterator[Document]:
+        for doc in read_documents(self.path):
+            self.datasets.add(doc.dataset)
+            yield doc
 
 
 def write_documents(path: str | Path, docs: Iterable[Document]) -> int:

@@ -15,6 +15,7 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -26,6 +27,7 @@ from .config import ConfigValidationError, Issue, load_section, path_values
 from .dedup import DedupConfig
 from .documents import (
     Document,
+    DocumentFile,
     Extraction,
     canonicalize,
     corpus_stats,
@@ -328,20 +330,31 @@ def _stage_fluency(cfg: PipelineConfig, out: _StageDir) -> Counts:
 
 def _stage_dedup(cfg: PipelineConfig, out: _StageDir) -> Counts:
     dcfg = replace(cfg.dedup, seed=cfg.seed)
-    datasets = [(ds.name, _docs(cfg, "dedup", ds)) for ds in cfg.datasets]
+    datasets = [(ds.name, DocumentFile(_input_path(cfg, "dedup", ds))) for ds in cfg.datasets]
     skip = [ds.name for ds in cfg.datasets if ds.pre_deduplicated]
     result = dedup.dedup_corpus(datasets, dcfg, skip_intra=skip)
     dedup.write_dedup_outputs(out.path, result)
 
-    by_dataset: dict[str, list[Document]] = {ds.name: [] for ds in cfg.datasets}
-    for doc in result.survivors:
-        by_dataset[doc.dataset].append(doc)
+    # A survivor lands in the file of the dataset its `dataset` field names,
+    # in ingestion order; each input is read again for each dataset it holds.
+    names = {ds.name for ds in cfg.datasets}
+    unknown = set().union(*(f.datasets for _, f in datasets)) - names
+    if unknown:
+        raise ValueError(f"dedup inputs hold documents of unconfigured datasets {sorted(unknown)}")
+    removed = result.removed_indices()
     for ds in cfg.datasets:
-        write_documents(out.path(f"{ds.name}.jsonl"), by_dataset[ds.name])
+        survivors = (
+            doc
+            for (_, f), start in zip(datasets, result.bounds)
+            if ds.name in f.datasets
+            for i, doc in enumerate(f, start)
+            if i not in removed and doc.dataset == ds.name
+        )
+        write_documents(out.path(f"{ds.name}.jsonl"), survivors)
     summary = {st: rep.summary() for st, rep in result.reports.items()}
     write_json(out.path("summary.json"), summary)
-    total, kept_n = len(result.ids), len(result.survivors)
-    return total, kept_n, total - kept_n
+    total = len(result.ids)
+    return total, total - len(removed), len(removed)
 
 
 def _stage_parallel(cfg: PipelineConfig, out: _StageDir) -> Counts:
@@ -370,16 +383,10 @@ def _stage_parallel(cfg: PipelineConfig, out: _StageDir) -> Counts:
     return total, len(pairs), total - len(pairs)
 
 
-def _take_docs(
-    cfg: PipelineConfig, stage: str, datasets: list[DatasetSpec], limit: int | None
-) -> list[Document]:
-    out: list[Document] = []
+def _datasets_docs(cfg: PipelineConfig, stage: str,
+                   datasets: list[DatasetSpec]) -> Iterator[Document]:
     for ds in datasets:
-        for doc in _docs(cfg, stage, ds):
-            out.append(doc)
-            if limit is not None and len(out) >= limit:
-                return out
-    return out
+        yield from _docs(cfg, stage, ds)
 
 
 def _greek_datasets(cfg: PipelineConfig) -> list[DatasetSpec]:
@@ -394,21 +401,31 @@ def _stage_tokenizer(cfg: PipelineConfig, out: _StageDir) -> Counts:
             raise ValueError("base_vocab_path must point to a base vocabulary")
     else:
         base_ds = [ds for ds in cfg.datasets if ds.name == t.base_dataset]
-        base_docs = _take_docs(cfg, "tokenizer", base_ds, t.max_train_docs)
+        base_docs = islice(_datasets_docs(cfg, "tokenizer", base_ds), t.max_train_docs)
         base = bpe.train_bpe(base_docs, t.base_target_tokens)
-    # One read serves both limits: the fertility sample is a prefix of the
-    # training docs, or the other way round.
+
+    # One read serves both limits: training streams its documents, and the
+    # fertility sample, a prefix of the same ones, is kept on the way.
     limits = (t.max_train_docs, t.fertility_sample_docs)
-    greek = _take_docs(cfg, "tokenizer", _greek_datasets(cfg),
-                       None if None in limits else max(limits))
-    train_docs = greek[:t.max_train_docs]
-    learned = bpe.train_bpe(train_docs, t.new_target_tokens)
+    greek = _datasets_docs(cfg, "tokenizer", _greek_datasets(cfg))
+    sample: list[Document] = []
+    trained = 0
+
+    def train_docs() -> Iterator[Document]:
+        nonlocal trained
+        for i, doc in enumerate(islice(greek, None if None in limits else max(limits))):
+            if t.fertility_sample_docs is None or i < t.fertility_sample_docs:
+                sample.append(doc)
+            if t.max_train_docs is None or i < t.max_train_docs:
+                trained += 1
+                yield doc
+
+    learned = bpe.train_bpe(train_docs(), t.new_target_tokens)
     ext = bpe.extend_vocab(base, learned)
 
     bpe.save_vocab(base, out.path("base_vocab.json"))
     bpe.save_vocab(ext, out.path("extended_vocab.json"))
 
-    sample = greek[:t.fertility_sample_docs]
     (base_tokens, ext_tokens), words = bpe.fertility_counts([base, ext], sample)
     write_json(
         out.path("fertility.json"),
@@ -421,8 +438,7 @@ def _stage_tokenizer(cfg: PipelineConfig, out: _StageDir) -> Counts:
             "extended_vocab_size": ext.total_size,
         },
     )
-    n = len(train_docs)
-    return n, n, 0
+    return trained, trained, 0
 
 
 def _stage_embedding(cfg: PipelineConfig, out: _StageDir) -> Counts:

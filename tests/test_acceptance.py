@@ -31,6 +31,7 @@ from corpus_forge.bpe import ExtendedVocab, Vocab, extend_vocab, fertility_count
 from corpus_forge.dedup import (
     DedupConfig,
     dedup_corpus,
+    kept_documents,
     estimate_jaccard,
     exact_jaccard,
     minhash_signature,
@@ -201,7 +202,8 @@ def test_c05_two_stage_semantics():
         assert cross.removed == {"b0"}
         intra.validate([d.id for d in ds_a + ds_b])
         cross.validate(sorted(intra.kept))
-        assert {d.id for d in result.survivors} == {"a0", "a2", "b1"}
+        survivors = kept_documents([("a", ds_a), ("b", ds_b)], result.removed_indices())
+        assert {d.id for d in survivors} == {"a0", "a2", "b1"}
 
 
 def test_c06_learning_rate_schedule():

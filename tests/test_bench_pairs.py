@@ -122,3 +122,16 @@ def test_compare_trees_names_each_differing_and_one_sided_file(tmp_path):
         "differs: tok/v.json",
     ]
     assert bench_pairs.compare_trees(tmp_path / "parent", tmp_path / "parent") == []
+
+
+def test_peaks_table_rows_per_workload_and_stage():
+    peaks = {
+        "parent": {"w": {"ingest": 35_840, "dedup": 86_016}, "v": {"tokenizer": 81_920}},
+        "change": {"w": {"ingest": 35_840, "dedup": 49_152}},
+    }
+    assert bench_pairs.peaks_table(peaks) == [
+        "workload           stage      parent MiB change MiB   change",
+        "w                  ingest           35.0       35.0    +0.0%",
+        "w                  dedup            84.0       48.0   -42.9%",
+        "v                  tokenizer        80.0          -        -",
+    ]

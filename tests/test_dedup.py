@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -8,13 +9,16 @@ from hypothesis import strategies as st
 
 from corpus_forge.dedup import (
     DedupConfig,
+    _buckets,
     _cluster,
     _signature_matrix,
+    band_digests,
     candidate_pairs,
     collision_probability,
     dedup_corpus,
     estimate_jaccard,
     exact_jaccard,
+    kept_documents,
     minhash_signature,
     optimal_bands,
     shingle,
@@ -175,6 +179,10 @@ def _docs(texts, prefix="d", dataset="x"):
     ]
 
 
+def _survivors(datasets, result, stages=("intra", "cross")):
+    return list(kept_documents(datasets, result.removed_indices(stages)))
+
+
 def test_exact_duplicates_removed_within_dataset():
     text = "ένα δύο τρία τέσσερα πέντε έξι επτά οκτώ εννιά δέκα"
     docs = _docs([text, text, "άλλο κείμενο εντελώς διαφορετικό από όλα τα υπόλοιπα εδώ"])
@@ -182,7 +190,7 @@ def test_exact_duplicates_removed_within_dataset():
     intra = result.reports["intra"]
     assert intra.removed == {"d1"}
     assert intra.clusters == [["d0", "d1"]]
-    assert [d.id for d in result.survivors] == ["d0", "d2"]
+    assert [d.id for d in _survivors([("x", docs)], result)] == ["d0", "d2"]
 
 
 def test_cross_dataset_duplicates_survive_stage_one():
@@ -194,7 +202,7 @@ def test_cross_dataset_duplicates_survive_stage_one():
     result = dedup_corpus([("a", a), ("b", b)], DedupConfig(seed=2))
     assert result.reports["intra"].removed == set()
     assert result.reports["cross"].removed == {"b0"}  # keep-first by ingestion order
-    assert {d.id for d in result.survivors} == {"a0", "b1"}
+    assert {d.id for d in _survivors([("a", a), ("b", b)], result)} == {"a0", "b1"}
 
 
 def test_repeated_id_in_another_dataset_is_not_lost():
@@ -205,8 +213,10 @@ def test_repeated_id_in_another_dataset_is_not_lost():
                   dataset="b")]
     result = dedup_corpus([("a", a), ("b", b)], DedupConfig(seed=2))
     assert result.reports["intra"].clusters == [["x", "y"]]
-    assert [(d.dataset, d.id) for d in result.intra_survivors] == [("a", "x"), ("b", "y")]
-    assert [(d.dataset, d.id) for d in result.survivors] == [("a", "x"), ("b", "y")]
+    datasets = [("a", a), ("b", b)]
+    intra_survivors = _survivors(datasets, result, ("intra",))
+    assert [(d.dataset, d.id) for d in intra_survivors] == [("a", "x"), ("b", "y")]
+    assert [(d.dataset, d.id) for d in _survivors(datasets, result)] == [("a", "x"), ("b", "y")]
 
 
 def test_skip_intra_datasets():
@@ -244,7 +254,7 @@ def test_empty_documents_never_cluster_together():
                          dataset="x"))
     result = dedup_corpus([("x", docs)], DedupConfig(seed=1))
     assert result.reports["intra"].clusters == []
-    assert len(result.survivors) == 4
+    assert len(_survivors([("x", docs)], result)) == 4
 
 
 def test_removing_unrelated_doc_keeps_other_clusters():
@@ -311,10 +321,55 @@ def test_clusters_match_all_pairs_bucket_oracle(verify, data):
     cfg = DedupConfig(shingle_n=1, num_perm=bands * rows, jaccard_threshold=0.5,
                       bands=bands, rows=rows, verify_candidates=verify)
     array = np.array(matrix, dtype=np.uint64).reshape(n, bands * rows)
-    empty = [not text.split() for text in texts]
-    got = _cluster(members, texts, array, empty, cfg)
+    empty = np.array([not text.split() for text in texts], dtype=bool)
+    shingles = {i: frozenset(shingle(text, 1)) for i, text in enumerate(texts)}
+    digests = band_digests(array, bands, rows)
+    got = _cluster(np.array(members, dtype=np.int64), digests, empty, cfg, shingles)
     threshold = cfg.jaccard_threshold if verify else None
     assert got == _bucket_graph_clusters(matrix, bands, rows, members, texts, threshold)
+
+
+def _exact_byte_banding(matrix, bands, rows, active):
+    """Oracle: banding as it was before band digests, each bucket keyed by
+    its band's exact bytes. (buckets of two or more per band, chained pairs)."""
+    buckets, pairs = [], []
+    for band in range(bands):
+        keyed: dict[bytes, list[int]] = {}
+        for i in active:
+            keyed.setdefault(matrix[i, band * rows:(band + 1) * rows].tobytes(), []).append(i)
+        buckets.append(sorted(m for m in keyed.values() if len(m) > 1))
+        for members in keyed.values():
+            pairs.extend(zip(members, members[1:]))
+    return buckets, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_digest_buckets_match_exact_byte_buckets(data):
+    bands, rows = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    width = bands * rows
+    value = st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**63, 2**64 - 1])
+    matrix: list[list[int]] = []
+    empty: list[bool] = []
+    for _ in range(data.draw(st.integers(0, 16))):
+        kind = data.draw(st.sampled_from(["fresh", "copy", "one_off", "empty"]))
+        if kind == "empty":
+            row = [2**64 - 1] * width  # the sentinel of a text without shingles
+        elif kind == "fresh" or not matrix:
+            row = data.draw(st.lists(value, min_size=width, max_size=width))
+        else:
+            row = list(data.draw(st.sampled_from(matrix)))
+            if kind == "one_off":
+                row[data.draw(st.integers(0, width - 1))] = data.draw(value)
+        matrix.append(row)
+        empty.append(kind == "empty")
+    array = np.array(matrix, dtype=np.uint64).reshape(len(matrix), width)
+    digests = band_digests(array, bands, rows)
+    for active in (np.arange(len(matrix)), np.flatnonzero(~np.array(empty, dtype=bool))):
+        buckets, pairs = _exact_byte_banding(array, bands, rows, active.tolist())
+        got = [sorted(_buckets(digests[:, band:band + 1], active)) for band in range(bands)]
+        assert got == buckets
+        assert sorted(candidate_pairs(digests, active)) == sorted(pairs)
 
 
 def test_template_family_pairs_grow_linearly():
@@ -326,8 +381,30 @@ def test_template_family_pairs_grow_linearly():
     result = dedup_corpus([("x", docs)], cfg)
     bands, rows = cfg.banding()
     matrix, _ = _signature_matrix([d.text for d in docs], cfg)
-    assert len(candidate_pairs(matrix, bands, rows)) <= bands * 399
-    assert [d.id for d in result.survivors] == ["d0"]
+    assert len(candidate_pairs(band_digests(matrix, bands, rows), np.arange(400))) <= bands * 399
+    assert [d.id for d in _survivors([("x", docs)], result)] == ["d0"]
+
+
+def test_verify_memory_is_a_bounded_multiple_of_the_unverified_run():
+    # 400 near-copies of one template share every bucket of every band, so
+    # listing each bucket's pairs would hold bands*400*399/2 tuples. Walking
+    # them one at a time holds the shingles of the documents that share a
+    # bucket. The bound, 20x, was fixed before measuring.
+    template = " ".join(f"tpl{i}" for i in range(100))
+    docs = _docs([f"{template} own{i}" for i in range(400)])
+
+    def peak(verify: bool) -> int:
+        cfg = DedupConfig(seed=6, verify_candidates=verify)
+        dedup_corpus([("x", docs[:3])], cfg)  # fill the hash-family and banding caches
+        tracemalloc.start()
+        try:
+            dedup_corpus([("x", docs)], cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain, verified = peak(False), peak(True)
+    assert verified <= 20 * plain, (verified, plain)
 
 
 def test_cluster_report_jsonl(tmp_path):

@@ -206,6 +206,21 @@ def test_cli_names_path_and_line_of_a_lone_surrogate(tmp_path, capsys, bad):
     assert err.startswith(f"error: {path}:2: lone surrogate") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["0xff", "surrogate"])
+@pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+def test_cli_names_path_and_line_of_bytes_that_are_not_utf8(tmp_path, capsys, bad, suffix):
+    # Line 2 ends in CR alone, which text-mode reading also counts as a line end.
+    data = b'{"id":"a","text":"\xce\xad\xce\xbd\xce\xb1"}\r\n{"id":"b","text":"b"}\r' \
+        + b'{"id":"c","text":"x' + bad + b'y"}\n{"id":"d","text":"d"}\n'
+    path = tmp_path / f"in{suffix}"
+    path.write_bytes(gzip.compress(data, mtime=0) if suffix.endswith(".gz") else data)
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: not valid UTF-8 (byte ")):
+        list(read_documents(path))
+    assert main(["ingest", str(path), "--out", str(tmp_path / "out.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: not valid UTF-8") and err.count("\n") == 1, err
+
+
 def test_escaped_surrogate_pair_loads(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text('{"id":"a","text":"\\ud83d\\ude00 \\uD83D\\uDE00 \\ud7ff"}\n',

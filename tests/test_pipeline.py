@@ -15,7 +15,6 @@ from corpus_forge.pipeline import (
     StageError,
     _greek_datasets,
     _input_path,
-    _take_docs,
     run_pipeline,
     validate_config,
 )
@@ -439,7 +438,8 @@ def test_repeated_ids_with_a_copy_in_each_dataset(tmp_path, capsys):
     b = [Document(id="y", text=two, dataset="b"), Document(id="w", text=two, dataset="b")]
     result = dedup.dedup_corpus([("a", a), ("b", b)], dedup.DedupConfig(seed=2))
     expected = [("a", "x"), ("b", "y")]
-    assert [(d.dataset, d.id) for d in result.survivors] == expected
+    survivors = dedup.kept_documents([("a", a), ("b", b)], result.removed_indices())
+    assert [(d.dataset, d.id) for d in survivors] == expected
     assert result.reports["intra"].summary() == {"input": 4, "kept": 2, "removed": 2,
                                                  "clusters": 2}
 
@@ -479,18 +479,23 @@ def tiny_tokenizer_inputs(tmp_path_factory):
     return root, datasets
 
 
+def _take_docs(cfg, datasets, limit):
+    """The first `limit` documents (all if None) the tokenizer reads from `datasets`."""
+    docs = [doc for ds in datasets for doc in read_documents(_input_path(cfg, "tokenizer", ds))]
+    return docs[:limit]
+
+
 def _tokenizer_oracle(cfg, out):
-    """The stage as it was: the fertility sample taken by its own read."""
+    """The stage as it was: every limit taken by its own read into a list."""
     t = cfg.tokenizer
     base_ds = [ds for ds in cfg.datasets if ds.name == t.base_dataset]
-    base = bpe.train_bpe(_take_docs(cfg, "tokenizer", base_ds, t.max_train_docs),
-                         t.base_target_tokens)
+    base = bpe.train_bpe(_take_docs(cfg, base_ds, t.max_train_docs), t.base_target_tokens)
     greek = _greek_datasets(cfg)
-    train = _take_docs(cfg, "tokenizer", greek, t.max_train_docs)
+    train = _take_docs(cfg, greek, t.max_train_docs)
     ext = bpe.extend_vocab(base, bpe.train_bpe(train, t.new_target_tokens))
     bpe.save_vocab(base, out / "base_vocab.json")
     bpe.save_vocab(ext, out / "extended_vocab.json")
-    sample = _take_docs(cfg, "tokenizer", greek, t.fertility_sample_docs)
+    sample = _take_docs(cfg, greek, t.fertility_sample_docs)
     (base_tokens, ext_tokens), words = bpe.fertility_counts([base, ext], sample)
     return {
         "sample_docs": len(sample),

@@ -28,6 +28,15 @@ inputs of every workload from the parent's `perfbench/gen.py` and a
 `corpus-forge run` on each from both checkouts at `--threads` 1 and 2, and
 prints each output file that differs and each file present on one side
 only. It exits 1 if there is any.
+
+    python3 tools/bench_pairs.py peaks --parent ../parent --change . --work ../peaks
+
+`peaks` places a memory saving. For the seed-1 inputs of every workload it
+runs `corpus-forge run` from each checkout, then reruns each configured stage
+alone on that tree through the checkout's `tests/helpers.py`, and prints each
+stage's own peak resident set (VmHWM) per side. The traced
+`stage.<name>_maxrss_mb` cannot: it reads the high-water mark of the process
+that spawned the run.
 """
 
 from __future__ import annotations
@@ -265,10 +274,13 @@ def compare_trees(parent: Path, change: Path) -> list[str]:
     return lines
 
 
-def _cli(checkout: Path, argv: list[str]) -> None:
-    """`corpus-forge ARGV...` from `checkout`'s source tree."""
+def _cli(checkout: Path, argv: list[str], helper: Path | None = None,
+         peak: Path | None = None) -> None:
+    """`corpus-forge ARGV...` from `checkout`'s source tree; through `helper`
+    (a tests/helpers.py), which writes the process's VmHWM to `peak`."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    proc = subprocess.run([sys.executable, "-m", "corpus_forge.cli", *argv],
+    head = [str(helper), str(peak)] if helper else ["-m", "corpus_forge.cli"]
+    proc = subprocess.run([sys.executable, *head, *argv],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: corpus-forge {' '.join(argv)}\n{proc.stderr}")
@@ -277,11 +289,7 @@ def _cli(checkout: Path, argv: list[str]) -> None:
 def run_trees(args: argparse.Namespace) -> int:
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     work = Path(args.work).resolve()
-    spec = importlib.util.spec_from_file_location(
-        "parent_gen", checkouts["parent"] / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    configs = {w: gen.generate(w, 1, work / "inputs" / w)["config"] for w in gen.WORKLOADS}
+    configs = _workload_configs(checkouts["parent"], work)
     synth_dir = work / "inputs" / "synth_20k"
     _cli(checkouts["parent"], ["synth", "--docs", "20000", "--out", str(synth_dir)])
     configs["synth_20k"] = synth_dir / "config.json"
@@ -302,6 +310,54 @@ def run_trees(args: argparse.Namespace) -> int:
     return 1 if differences else 0
 
 
+def _workload_configs(parent: Path, work: Path) -> dict[str, Path]:
+    """The seed-1 config of every workload, written by the parent's perfbench/gen.py."""
+    spec = importlib.util.spec_from_file_location("parent_gen", parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return {w: gen.generate(w, 1, work / "inputs" / w)["config"] for w in gen.WORKLOADS}
+
+
+def peaks_table(peaks: dict[str, dict[str, dict[str, int]]]) -> list[str]:
+    """Lines of `peaks` (side -> workload -> stage -> VmHWM kB): one row per
+    workload and stage with each side's MiB and the change's relative to
+    the parent's; a stage one side lacks shows `-`."""
+    lines = [f"{'workload':<18} {'stage':<10} {'parent MiB':>10} {'change MiB':>10} {'change':>8}"]
+    workloads = dict.fromkeys(w for side in SIDES for w in peaks.get(side, {}))
+    for workload in workloads:
+        sides = [peaks.get(side, {}).get(workload, {}) for side in SIDES]
+        for stage in dict.fromkeys(s for side in sides for s in side):
+            kb = [side.get(stage) for side in sides]
+            mib = [f"{k / 1024:.1f}" if k is not None else "-" for k in kb]
+            rel = f"{kb[1] / kb[0] - 1:+.1%}" if None not in kb else "-"
+            lines.append(f"{workload:<18} {stage:<10} {mib[0]:>10} {mib[1]:>10} {rel:>8}")
+    return lines
+
+
+def run_peaks(args: argparse.Namespace) -> int:
+    checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    work = Path(args.work).resolve()
+    configs = _workload_configs(checkouts["parent"], work)
+    peaks: dict[str, dict[str, dict[str, int]]] = {side: {} for side in SIDES}
+    for name, config in configs.items():
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        for side, checkout in checkouts.items():
+            tree = work / "trees" / side / name
+            shutil.rmtree(tree, ignore_errors=True)
+            _cli(checkout, ["run", "--config", str(config), "--out", str(tree)])
+            for stage in payload["stages"]:
+                # Beside the original, so its relative paths still resolve.
+                alone = config.with_name(f"{config.stem}.{stage}.json")
+                alone.write_text(json.dumps({**payload, "stages": [stage]}), encoding="utf-8")
+                peak = work / "peak.kb"
+                _cli(checkout, ["run", "--config", str(alone), "--out", str(tree)],
+                     helper=checkout / "tests" / "helpers.py", peak=peak)
+                peaks[side].setdefault(name, {})[stage] = int(peak.read_text(encoding="ascii"))
+                print(f"{side} {name} {stage}: {peaks[side][name][stage]} kB", file=sys.stderr)
+    print("\n".join(peaks_table(peaks)))
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,6 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     t.add_argument("--parent", required=True, help="checkout of the parent commit")
     t.add_argument("--change", required=True, help="checkout of the change")
     t.add_argument("--work", required=True, help="directory for the inputs and the trees")
+    k = sub.add_parser("peaks", help="each stage's own peak RSS, rerun alone, per side")
+    k.add_argument("--parent", required=True, help="checkout of the parent commit")
+    k.add_argument("--change", required=True, help="checkout of the change")
+    k.add_argument("--work", required=True, help="directory for the inputs and the trees")
     i = sub.add_parser("invoke", help="one perfbench/run.py invocation with RSS per run")
     i.add_argument("checkout")
     i.add_argument("rss_out")
@@ -325,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "invoke":
         run_args = args.run_args[1:] if args.run_args[:1] == ["--"] else args.run_args
         return invoke(Path(args.checkout), Path(args.rss_out), run_args)
-    return run_trees(args) if args.command == "trees" else run_pairs(args)
+    commands = {"trees": run_trees, "peaks": run_peaks, "pairs": run_pairs}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":
