@@ -70,18 +70,18 @@ def _merge_pair(
     idx: int,
     freq: int,
     changes: defaultdict[tuple[str, str], int],
-    where: defaultdict[tuple[str, str], set[int]],
+    where: defaultdict[tuple[str, str], list[int]],
 ) -> list[str]:
     """Replace the leftmost non-overlapping occurrences of pair in word `idx`
     by merged.
 
     The same walk adds the change in pair counts into `changes`: -freq for
     each old pair beside a merged position, +freq for each new pair beside a
-    merged symbol, and each new pair's `where` set gains the word. Pairs away
-    from the merges keep their counts. The entry for `pair` itself is
-    incomplete; no occurrence of it survives the walk. Every word shares the
-    caller's `merged` string, and each new pair is one tuple keying both
-    tables, so training holds no copies of either.
+    merged symbol, and each new pair's `where` list gains the word unless it
+    already ends with it. Pairs away from the merges keep their counts. The
+    entry for `pair` itself is incomplete; no occurrence of it survives the
+    walk. Every word shares the caller's `merged` string, and each new pair is
+    one tuple keying both tables, so training holds no copies of either.
     """
     a, b = pair
     out: list[str] = []
@@ -92,7 +92,9 @@ def _merge_pair(
             if out:
                 new = out[-1], merged
                 changes[new] += freq
-                where[new].add(idx)
+                held = where[new]
+                if not held or held[-1] != idx:
+                    held.append(idx)
                 if not joined:  # else the previous merge counted (b, a)
                     changes[out[-1], a] -= freq
             if i + 2 < n:
@@ -104,7 +106,9 @@ def _merge_pair(
             if joined:
                 new = merged, symbols[i]
                 changes[new] += freq
-                where[new].add(idx)
+                held = where[new]
+                if not held or held[-1] != idx:
+                    held.append(idx)
             out.append(symbols[i])
             i += 1
             joined = False
@@ -292,11 +296,17 @@ def train_bpe(corpus: Iterable[Document], target_new_tokens: int) -> Vocab:
     words = [list(map_text(seg)) for seg in seg_freqs]
     freqs = list(seg_freqs.values())
     stats: defaultdict[tuple[str, str], int] = defaultdict(int)
-    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)  # words that may hold it
+    # The words that may hold each pair. A word may be listed twice, or no
+    # longer hold the pair: a merge de-duplicates the list it pops, and a
+    # stale word has nothing to merge. The heap keys are (-count, pair), so
+    # the order of the words does not change the merges.
+    where: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
     for idx, symbols in enumerate(words):
         for pair in zip(symbols, symbols[1:]):
             stats[pair] += freqs[idx]
-            where[pair].add(idx)
+            held = where[pair]
+            if not held or held[-1] != idx:
+                held.append(idx)
 
     # A pair is pushed at each new count; an entry whose count is no longer
     # the pair's is stale and skipped when popped.
@@ -318,7 +328,7 @@ def train_bpe(corpus: Iterable[Document], target_new_tokens: int) -> Vocab:
             tokens.append(merged)
             token_set.add(merged)
         changes: defaultdict[tuple[str, str], int] = defaultdict(int)
-        for idx in where.pop(pair):
+        for idx in dict.fromkeys(where.pop(pair)):
             words[idx] = _merge_pair(words[idx], pair, merged, idx, freqs[idx], changes, where)
         del stats[pair]
         for p, d in changes.items():

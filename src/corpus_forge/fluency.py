@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import logging
 import math
 import operator
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -36,11 +34,6 @@ UNK = "\x01"  # reserved unknown-character symbol
 FALLBACK_DISCOUNTS = (0.5, 1.0, 1.5)
 
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
-
-# A gram's context, its suffix one order down, and its predicted symbol.
-_HEAD = operator.itemgetter(slice(None, -1))
-_TAIL = operator.itemgetter(slice(1, None))
-_LAST = operator.itemgetter(-1)
 
 
 class TrainError(ValueError):
@@ -63,15 +56,15 @@ def split_paragraphs(text: str) -> list[str]:
     return [p.strip() for p in _PARAGRAPH_SPLIT.split(text) if p.strip()]
 
 
-def _estimate_discounts(count_of_counts: Counter) -> tuple[float, float, float]:
-    """Modified Kneser-Ney discounts from count-of-count buckets.
+def _estimate_discounts(counts: np.ndarray) -> tuple[float, float, float]:
+    """Modified Kneser-Ney discounts from the count-of-counts of one level.
 
     Falls back to fixed discounts when any of t1..t4 is empty (tiny corpora)
     or any estimate is not positive, as KenLM's --discount_fallback does: a
     zero discount leaves a context no back-off mass, so an unseen successor
     would get probability 0. Each D_k < k, since y and every t_k are positive.
     """
-    t1, t2, t3, t4 = (count_of_counts.get(k, 0) for k in (1, 2, 3, 4))
+    t1, t2, t3, t4 = np.bincount(np.minimum(counts, 5), minlength=6)[1:5].tolist()
     if min(t1, t2, t3, t4) == 0:
         return FALLBACK_DISCOUNTS
     y = t1 / (t1 + 2.0 * t2)
@@ -83,70 +76,164 @@ def _estimate_discounts(count_of_counts: Counter) -> tuple[float, float, float]:
     return (d1, d2, d3)
 
 
+# Rows of code points per chunk of grams counted or scored at once.
+_CHUNK = 1 << 16
+
+
+def _keys(codes: np.ndarray) -> np.ndarray:
+    """Each row of an (n, m) array of code points as one `U{m}` string. numpy
+    orders these by code point, as Python orders str, but reads trailing NULs
+    as padding, so no gram may end in BOS."""
+    return np.ascontiguousarray(codes, "<u4").view(f"<U{codes.shape[1]}").reshape(-1)
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's index in the sorted `keys`, and whether it is there. The
+    queries are searched in sorted order: numpy's binary search is about
+    twice as fast that way, even with the sort."""
+    order = np.argsort(queries)
+    at = np.empty(len(queries), np.intp)
+    at[order] = np.searchsorted(keys, queries[order])
+    if not len(keys):
+        return at, np.zeros(len(queries), bool)
+    return at, keys.take(at, mode="clip") == queries
+
+
+def _grams(seqs: Iterable[str], order: int) -> Iterator[np.ndarray]:
+    """The gram of each character of `seqs`, in order: its order-1
+    predecessors, BOS-padded at the start of its sequence, and itself. Yields
+    (rows, order) arrays of code points, a chunk of about _CHUNK rows at a
+    time; a longer sequence is cut into pieces, each led by its context."""
+    pad = order - 1
+    pieces: list[str] = []
+    rows = 0
+    for seq in seqs:
+        padded = BOS * pad + seq
+        for a in range(0, len(seq), _CHUNK):
+            pieces.append(padded[a : a + _CHUNK + pad])
+            rows += len(pieces[-1]) - pad
+            if rows >= _CHUNK:
+                yield _piece_grams(pieces, order)
+                pieces, rows = [], 0
+    if pieces:
+        yield _piece_grams(pieces, order)
+
+
+def _piece_grams(pieces: list[str], order: int) -> np.ndarray:
+    """The grams ending past the leading order-1 characters of each piece."""
+    codes = np.frombuffer("".join(pieces).encode("utf-32-le", "surrogatepass"), "<u4")
+    starts = np.cumsum([0, *map(len, pieces[:-1])])
+    ends = np.ones(len(codes), bool)
+    ends[(starts[:, None] + np.arange(order - 1)).reshape(-1)] = False
+    return np.lib.stride_tricks.sliding_window_view(codes, order)[ends[order - 1 :]]
+
+
 class NGramLM:
     """Immutable after training; queries are thread-safe.
 
-    level_counts[m] holds the count table used at order m: raw n-gram counts
-    at the top order, continuation counts below it. Grams are plain strings
-    whose last character is the predicted symbol. The levels must be
+    keys[m-1] holds the sorted distinct grams of order m, each as one int64:
+    the code point of its first character times the number of order-(m-1)
+    grams, plus the index of its suffix gram[1:] among them (at order 1, the
+    code point alone). A gram's last character is the predicted symbol, and
+    sorted keys are sorted grams. counts[m-1] holds their counts: raw n-gram
+    counts at the top order, continuation counts below it. The levels must be
     suffix-closed (each gram of order m >= 2 drops its first character to a
-    gram of order m-1), as counting makes them.
+    gram of order m-1), as counting makes them and `read_model` checks.
     """
 
-    def __init__(self, order: int, level_counts: list[Counter], vocab: set[str], h_ref: float):
+    def __init__(self, order: int, keys: list[np.ndarray], counts: list[np.ndarray],
+                 vocab: set[str], h_ref: float):
         if order < 2:
             raise ValueError("order must be at least 2")
         self.order = order
-        self.level_counts = level_counts  # index m-1 -> Counter for order m
+        self.keys = keys
+        self.counts = counts
         self.vocab = frozenset(vocab) | {UNK}
         self.h_ref = h_ref
         self._uniform = 1.0 / len(self.vocab)
-        self._discounts = [
-            _estimate_discounts(Counter(level_counts[m].values())) for m in range(order)
-        ]
-        self._probs, self._gammas = self._build_tables()
+        self._vocab_codes = np.array(sorted(map(ord, self.vocab)), np.uint32)
+        self._discounts = [_estimate_discounts(c) for c in counts]
+        self._build_tables()
 
-    def _build_tables(self) -> tuple[list[dict[str, float]], list[dict[str, float]]]:
-        """probs[m]: order-m gram -> interpolated P(gram[-1] | gram[:-1]);
-        gammas[m]: order-m context -> back-off weight. Index 0 is empty.
+    def levels(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each order's sorted grams, as `U{m}` strings, and their counts."""
+        codes = np.zeros((1, 0), np.uint32)  # the empty gram
+        for keys, counts in zip(self.keys, self.counts):
+            first, below = np.divmod(keys, len(codes))
+            codes = np.column_stack([first.astype(np.uint32), codes[below]])
+            yield _keys(codes), counts
+
+    def _build_tables(self) -> None:
+        """Per order m (index m-1): probs, each gram's interpolated
+        P(gram[-1] | gram[:-1]); contexts, the sorted distinct contexts gram[:-1],
+        keyed as grams are but over the contexts one order down (the empty
+        context is 0); gammas, their back-off weights.
 
         Built bottom-up as max(c - d, 0) / total + gamma * probs[m-1][gram[1:]]:
         the recursion's float operations in its order, elementwise, so the
         values are bit-identical while a context's total stays below 2**53.
-        Only grams whose last character is in the vocabulary get a
-        probability: no query asks for any other."""
-        probs: list[dict[str, float]] = [{}]
-        gammas: list[dict[str, float]] = [{}]
-        for m in range(1, self.order + 1):
-            counts = self.level_counts[m - 1]
-            grams = list(counts)
-            n = len(grams)
-            c = np.fromiter(counts.values(), np.float64, n)
-            contexts = dict(zip(dict.fromkeys(map(_HEAD, grams)), itertools.count()))
-            at = np.fromiter(map(contexts.__getitem__, map(_HEAD, grams)), np.intp, n)
-            k = len(contexts)
+        The grams are sorted, so each context's grams are contiguous."""
+        self._probs: list[np.ndarray] = []
+        self._contexts: list[np.ndarray] = []
+        self._gammas: list[np.ndarray] = []
+        at = np.zeros(1, np.intp)  # the context index of each gram one order down
+        for m, keys in enumerate(self.keys, 1):
+            if m == 1:
+                context = np.zeros(len(keys), np.int64)
+                lower = self._uniform
+            else:
+                first, below = np.divmod(keys, len(self.keys[m - 2]))
+                context = first * len(self._contexts[m - 2]) + at[below]
+                lower = self._probs[m - 2][below]
+            new = np.ones(len(keys), bool)
+            new[1:] = context[1:] != context[:-1]
+            at = np.cumsum(new) - 1
+            self._contexts.append(context[new])
+            k = len(self._contexts[-1])
+
+            c = self.counts[m - 1].astype(np.float64)
             total = np.bincount(at, weights=c, minlength=k)
             n1, n2, n3p = (np.bincount(at[hit], minlength=k) for hit in (c == 1, c == 2, c > 2))
             d1, d2, d3 = self._discounts[m - 1]
             gamma = (d1 * n1 + d2 * n2 + d3 * n3p) / total
-            gammas.append(dict(zip(contexts, gamma.tolist())))
-
-            keep = np.fromiter(map(self.vocab.__contains__, map(_LAST, grams)), bool, n)
-            kept = list(itertools.compress(grams, keep))
-            if m == 1:
-                lower = self._uniform
-            else:
-                below = self.level_counts[m - 2]
-                if not all(map(below.__contains__, map(_TAIL, grams))):
-                    gram = next(g for g in grams if g[1:] not in below)
-                    raise ValueError(f"order-{m} gram {gram!r} has no order-{m - 1} suffix")
-                lower = np.fromiter(map(probs[m - 1].__getitem__, map(_TAIL, kept)),
-                                    np.float64, len(kept))
+            self._gammas.append(gamma)
             d = np.where(c == 1, d1, np.where(c == 2, d2, d3))
-            at = at[keep]
-            p = np.maximum(c - d, 0.0)[keep] / total[at] + gamma[at] * lower
-            probs.append(dict(zip(kept, p.tolist())))
-        return probs, gammas
+            self._probs.append(np.maximum(c - d, 0.0) / total[at] + gamma[at] * lower)
+
+    def _gram_probs(self, grams: np.ndarray) -> np.ndarray:
+        """P(w | ctx) for each row ctx + w of an (n, order) array of code
+        points, whose last column it rewrites to UNK where w is out of the
+        vocabulary. Each row's suffixes are looked up from order 1 up; the
+        levels are suffix-closed, so the first miss ends the longest suffix
+        that is a gram, which gives the probability up to its order. Each
+        order above it whose context was seen then scales it by its gamma, in
+        ascending order, as the recursion does."""
+        order = self.order
+        last = grams[:, -1]
+        grams[:, -1] = np.where(_find(self._vocab_codes, last)[1], last, ord(UNK))
+        p = np.full(len(grams), self._uniform)
+        k = np.zeros(len(grams), np.intp)  # order of the longest suffix found
+        rows, index, size = np.arange(len(grams)), 0, 1
+        for m in range(1, order + 1):
+            if not len(rows):
+                break
+            queries = grams[rows, order - m] * np.int64(size) + index
+            at, found = _find(self.keys[m - 1], queries)
+            rows, index = rows[found], at[found]
+            p[rows] = self._probs[m - 1][index]
+            k[rows] = m
+            size = len(self.keys[m - 1])
+        rows, index, size = np.flatnonzero(k < order), 0, 0  # the empty context is 0
+        for m in range(1, order + 1):
+            if not len(rows):
+                break
+            queries = grams[rows, order - m] * np.int64(size) + index
+            at, found = _find(self._contexts[m - 1], queries)
+            rows, index = rows[found], at[found]
+            up = k[rows] < m
+            p[rows[up]] = 0.0 + self._gammas[m - 1][index[up]] * p[rows[up]]
+            size = len(self._contexts[m - 1])
+        return p
 
     def prob(self, char: str, context: str = "") -> float:
         """P(char | context); context shorter than order-1 is BOS-padded."""
@@ -155,56 +242,26 @@ class NGramLM:
         if len(char) != 1:
             raise ValueError("prob() scores exactly one character")
         ctx = (BOS * (self.order - 1) + context)[-(self.order - 1) :]
-        return self._prob_padded(char, ctx)
-
-    def _prob_padded(self, w: str, ctx: str) -> float:
-        """P(w | ctx) for a context of exactly order-1 characters: the longest
-        suffix of ctx+w that is a gram gives the probability up to its order;
-        each order above it whose context was seen scales it by its gamma."""
-        if w not in self.vocab:
-            w = UNK
-        gram = ctx + w
-        order = self.order
-        probs = self._probs
-        k = order
-        while k and (p := probs[k].get(gram[order - k :])) is None:
-            k -= 1
-        if not k:
-            p = self._uniform
-        gammas = self._gammas
-        for m in range(k + 1, order + 1):
-            gamma = gammas[m].get(ctx[order - m :])
-            if gamma is not None:
-                p = 0.0 + gamma * p
-        return p
+        return float(self._gram_probs(np.array([list(map(ord, ctx + char))], np.uint32))[0])
 
     def log_prob(self, text: str) -> float:
         """Total log probability of text as one sequence (nats); empty -> 0.0."""
-        return self._log_prob(normalize_text(text))
+        return next(self._log_probs([normalize_text(text)]))
 
-    def _log_prob(self, seq: str) -> float:
-        """log_prob of an already normalised sequence: each seen top-order
-        gram is one lookup; the rest go through _prob_padded. The logs are
-        added left to right."""
-        if not seq:
-            return 0.0
-        order = self.order
-        pad = order - 1
-        padded = BOS * pad + seq
-        n = len(seq)
-        grams = map(padded.__getitem__, map(slice, range(n), range(order, n + order)))
-        probs = list(map(self._probs[order].get, grams))
-        prob_padded = self._prob_padded
-        for i in [i for i, p in enumerate(probs) if p is None]:
-            probs[i] = prob_padded(padded[i + pad], padded[i : i + pad])
-        return functools.reduce(operator.add, map(math.log, probs), 0.0)
+    def _log_probs(self, seqs: list[str]) -> Iterator[float]:
+        """log_prob of each already normalised sequence, all scored in one
+        pass; each sequence's logs are added left to right."""
+        probs = np.concatenate([np.empty(0)] + [self._gram_probs(g)
+                                                for g in _grams(seqs, self.order)])
+        for part in np.split(probs, np.cumsum([len(seq) for seq in seqs[:-1]], dtype=np.intp)):
+            yield functools.reduce(operator.add, map(math.log, part.tolist()), 0.0)
 
     def cross_entropy(self, text: str) -> float:
         """Per-character cross-entropy in nats."""
         seq = normalize_text(text)
         if not seq:
             raise ValueError("cannot score empty text")
-        return -self._log_prob(seq) / len(seq)
+        return -next(self._log_probs([seq])) / len(seq)
 
     def fluency_score(self, paragraph: str) -> float:
         """min(1, h_ref / h_paragraph); monotone decreasing in cross-entropy."""
@@ -217,17 +274,26 @@ class NGramLM:
 
     def document_score(self, text: str) -> float:
         """Length-weighted mean of paragraph scores; empty paragraphs skipped."""
-        weighted = 0.0
-        total_len = 0
-        for para in split_paragraphs(text):
-            seq = normalize_text(para)
-            if not seq:
-                continue
-            weighted += len(seq) * self._score(-self._log_prob(seq) / len(seq))
-            total_len += len(seq)
-        if total_len == 0:
+        (score,) = self._document_scores([text])
+        if score is None:
             raise ValueError("document has no scoreable paragraphs")
-        return weighted / total_len
+        return score
+
+    def _document_scores(self, texts: list[str]) -> list[float | None]:
+        """document_score of each text, None for one with no scoreable
+        paragraph; the paragraphs of all texts are scored in one pass."""
+        docs = [[seq for seq in map(normalize_text, split_paragraphs(text)) if seq]
+                for text in texts]
+        log_probs = self._log_probs([seq for seqs in docs for seq in seqs])
+        scores: list[float | None] = []
+        for seqs in docs:
+            weighted = 0.0
+            total_len = 0
+            for seq, log_prob in zip(seqs, log_probs):
+                weighted += len(seq) * self._score(-log_prob / len(seq))
+                total_len += len(seq)
+            scores.append(weighted / total_len if seqs else None)
+        return scores
 
 
 def _holdout_pick(seed: int, index: int, fraction: float) -> bool:
@@ -239,26 +305,33 @@ def _holdout_pick(seed: int, index: int, fraction: float) -> bool:
     return int.from_bytes(digest, "little") / 2**64 < fraction
 
 
-def _count_levels(sequences: Iterable[str], order: int) -> tuple[list[Counter], set[str], int]:
-    """Raw counts of the top-order grams, one slice per character; below it,
-    continuation counts (distinct left extensions). Every lower gram at a
-    position is a suffix of that position's top gram, so the distinct keys of
-    each level yield the next level down."""
-    top: Counter = Counter()
-    vocab: set[str] = set()
-    n_chars = 0
-    pad = order - 1
-    for seq in sequences:
-        vocab.update(seq)
-        n = len(seq)
-        n_chars += n
-        padded = BOS * pad + seq
-        top.update(map(padded.__getitem__, map(slice, range(n), range(order, n + order))))
-    levels: list[Counter] = [top]
-    for _ in range(order - 1):
-        levels.append(Counter(map(_TAIL, levels[-1])))
-    levels.reverse()  # levels[m-1] for order m
-    return levels, vocab, n_chars
+def _count_levels(
+    sequences: Iterable[str], order: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The keys and counts of each order (see NGramLM). The top order's
+    grams are counted as `U{order}` strings, chunk by chunk; below it, the
+    counts are continuation counts (distinct left extensions). Every lower
+    gram at a position is a suffix of that position's top gram, so the
+    distinct tails of each level are the next level down."""
+    grams = np.empty(0, f"<U{order}")
+    counts = np.empty(0, np.int64)
+    for chunk in _grams(sequences, order):
+        new, new_counts = np.unique(_keys(chunk), return_counts=True)
+        at, found = _find(grams, new)
+        counts[at[found]] += new_counts[found]
+        grams = np.insert(grams, at[~found], new[~found])
+        counts = np.insert(counts, at[~found], new_counts[~found])
+    keys, level_counts = [], [counts]
+    for m in range(order, 1, -1):
+        codes = grams.view("<u4").reshape(-1, m)
+        first, tails = codes[:, 0].astype(np.int64), _keys(codes[:, 1:])
+        codes = grams = None  # freed before the sort of the tails
+        # grams and counts of order m-1; below indexes each order-m gram's tail
+        grams, below, counts = np.unique(tails, return_inverse=True, return_counts=True)
+        keys.append(first * len(grams) + below)
+        level_counts.append(counts)
+    keys.append(grams.view("<u4").astype(np.int64))
+    return keys[::-1], level_counts[::-1]
 
 
 @dataclass(frozen=True)
@@ -301,17 +374,19 @@ def train_ngram_lm(
     if not train_seqs and held_seqs:
         # Degenerate split on tiny corpora: train on everything.
         train_seqs, held_seqs = held_seqs, []
-    levels, vocab, n_chars = _count_levels(train_seqs, order)
+    n_chars = sum(map(len, train_seqs))
     if n_chars < order:
         raise TrainError(f"training corpus has {n_chars} characters, fewer than order {order}")
-    lm = NGramLM(order=order, level_counts=levels, vocab=vocab, h_ref=1.0)
+    keys, counts = _count_levels(train_seqs, order)
+    lm = NGramLM(order=order, keys=keys, counts=counts, vocab=set(map(chr, keys[0].tolist())),
+                 h_ref=1.0)
     ref_seqs = held_seqs if held_seqs else train_seqs
     if not held_seqs:
         log.warning("empty holdout split; h_ref measured on the training split")
     log_total = 0.0
     len_total = 0
-    for seq in ref_seqs:
-        log_total += lm._log_prob(seq)
+    for seq, log_prob in zip(ref_seqs, lm._log_probs(ref_seqs)):
+        log_total += log_prob
         len_total += len(seq)
     h_ref = -log_total / len_total
     if not h_ref > 0.0:
@@ -331,11 +406,13 @@ def write_model(lm: NGramLM, path: str | Path) -> None:
         out.pack("Id", lm.order, lm.h_ref)
         blob = "".join(sorted(lm.vocab - {UNK})).encode("utf-8")
         out.pack(f"I{len(blob)}s", len(blob), blob)
-        for table in lm.level_counts:
-            out.pack("Q", len(table))
-            for gram in sorted(table):
-                raw = gram.encode("utf-8")
-                out.pack(f"H{len(raw)}sQ", len(raw), raw, table[gram])
+        for grams, counts in lm.levels():
+            out.pack("Q", len(grams))
+            for a in range(0, len(grams), _CHUNK):  # as str, a slice at a time
+                for gram, count in zip(grams[a : a + _CHUNK].tolist(),
+                                       counts[a : a + _CHUNK].tolist()):
+                    raw = gram.encode("utf-8")
+                    out.pack(f"H{len(raw)}sQ", len(raw), raw, count)
 
 
 def read_model(path: str | Path) -> NGramLM:
@@ -344,33 +421,61 @@ def read_model(path: str | Path) -> NGramLM:
     with binfile.Reader(path, MAGIC, VERSION, ModelFormatError) as r:
         order, h_ref = r.unpack("Id")
         vocab = set(r.text(*r.unpack("I"), "vocabulary"))
-        levels = []
+        keys: list[np.ndarray] = []
+        counts: list[np.ndarray] = []
+        shorter = np.empty(0, "<U1")  # the grams one order down
         for m in range(1, order + 1):
-            table: Counter = Counter()
+            grams: list[str] = []
+            level_counts: list[int] = []
             prev = None
             for _ in range(*r.unpack("Q")):
                 gram = r.text(*r.unpack("H"), "gram entry")
                 (count,) = r.unpack("Q")
-                if len(gram) != m or count == 0:
+                # BOS only pads on the left, as counting makes it: as a `U{m}`
+                # string, a gram ending in BOS would read as a shorter one.
+                body = gram.lstrip(BOS)
+                if len(gram) != m or not 0 < count < 2**63 or not body or BOS in body:
                     raise r.fail(f"bad order-{m} entry {gram!r}")
                 if prev is not None and gram <= prev:
                     raise r.fail(f"order-{m} gram {gram!r} not after {prev!r}")
-                table[gram] = count
+                grams.append(gram)
+                level_counts.append(count)
                 prev = gram
-            levels.append(table)
-        return NGramLM(order=order, level_counts=levels, vocab=vocab, h_ref=h_ref)
+            level = np.array(grams, f"<U{m}")
+            codes = level.view("<u4").reshape(-1, m).astype(np.int64)
+            if m == 1:
+                keys.append(codes[:, 0])
+            else:
+                at, found = _find(shorter, _keys(codes[:, 1:]))
+                if not found.all():
+                    raise r.fail(f"order-{m} gram {grams[np.argmin(found)]!r} "
+                                 f"has no order-{m - 1} suffix")
+                keys.append(codes[:, 0] * len(shorter) + at)
+            counts.append(np.array(level_counts, np.int64))
+            shorter = level
+        return NGramLM(order=order, keys=keys, counts=counts, vocab=vocab, h_ref=h_ref)
 
 
 def score_documents(lm: NGramLM, docs: Iterable[Document]) -> Iterator[Document]:
-    """Attach a 'fluency' score to each document (existing scores preserved)."""
+    """Attach a 'fluency' score to each document (existing scores preserved),
+    scoring a batch of documents of about _CHUNK characters at a time."""
+    batch: list[Document] = []
+    chars = 0
     for doc in docs:
-        if doc.scores and "fluency" in doc.scores:
-            yield doc
-            continue
-        if not doc.text.strip():
-            yield doc.with_score("fluency", 0.0)
-            continue
-        yield doc.with_score("fluency", lm.document_score(doc.text))
+        batch.append(doc)
+        chars += len(doc.text)
+        if chars >= _CHUNK:
+            yield from _score_batch(lm, batch)
+            batch, chars = [], 0
+    yield from _score_batch(lm, batch)
+
+
+def _score_batch(lm: NGramLM, docs: list[Document]) -> Iterator[Document]:
+    """A blank document scores 0.0."""
+    scored = [bool(doc.scores and "fluency" in doc.scores) for doc in docs]
+    scores = lm._document_scores(["" if done else doc.text for done, doc in zip(scored, docs)])
+    for done, doc, score in zip(scored, docs, scores):
+        yield doc if done else doc.with_score("fluency", 0.0 if score is None else score)
 
 
 def drop_disfluent(

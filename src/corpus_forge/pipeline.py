@@ -304,15 +304,18 @@ def _stage_fluency(cfg: PipelineConfig, out: _StageDir) -> Counts:
         lm = fluency.read_model(fl.model_path)
     else:
         train_ds = next(ds for ds in cfg.datasets if ds.name == fl.train_dataset)
-        train_docs: list[Document] = []
-        chars = 0
-        for doc in _docs(cfg, "fluency", train_ds):
-            train_docs.append(doc)
-            chars += len(doc.text)
-            if chars >= fl.max_train_chars:
-                break
+
+        def train_docs() -> Iterator[Document]:
+            """The training dataset up to the document that reaches max_train_chars."""
+            chars = 0
+            for doc in _docs(cfg, "fluency", train_ds):
+                yield doc
+                chars += len(doc.text)
+                if chars >= fl.max_train_chars:
+                    return
+
         lm = fluency.train_ngram_lm(
-            train_docs, order=fl.order, holdout_fraction=fl.holdout_fraction, seed=cfg.seed
+            train_docs(), order=fl.order, holdout_fraction=fl.holdout_fraction, seed=cfg.seed
         )
         fluency.write_model(lm, out.path("model.nglm"))
 

@@ -126,12 +126,15 @@ def test_compare_trees_names_each_differing_and_one_sided_file(tmp_path):
 
 def test_peaks_table_rows_per_workload_and_stage():
     peaks = {
-        "parent": {"w": {"ingest": 35_840, "dedup": 86_016}, "v": {"tokenizer": 81_920}},
-        "change": {"w": {"ingest": 35_840, "dedup": 49_152}},
+        "parent": {"w": {bench_pairs.WHOLE_RUN: 88_064, "ingest": 35_840, "dedup": 86_016},
+                   "v": {bench_pairs.WHOLE_RUN: 83_968, "tokenizer": 81_920}},
+        "change": {"w": {bench_pairs.WHOLE_RUN: 51_200, "ingest": 35_840, "dedup": 49_152}},
     }
     assert bench_pairs.peaks_table(peaks) == [
         "workload           stage      parent MiB change MiB   change",
+        "w                  whole run        86.0       50.0   -41.9%",
         "w                  ingest           35.0       35.0    +0.0%",
         "w                  dedup            84.0       48.0   -42.9%",
+        "v                  whole run        82.0          -        -",
         "v                  tokenizer        80.0          -        -",
     ]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -280,7 +281,8 @@ def test_hand_built_model_loads(tmp_path):
     path = tmp_path / "ok.nglm"
     _write_levels(path, [UNIGRAMS, [("ab", 2), ("zq", 1)]])
     lm = read_model(path)
-    assert lm.level_counts[1] == {"ab": 2, "zq": 1}
+    grams, counts = list(lm.levels())[1]
+    assert dict(zip(grams.tolist(), counts.tolist())) == {"ab": 2, "zq": 1}
     assert lm.prob("b", "a") > lm.prob("q", "a")
 
 
@@ -301,4 +303,22 @@ def test_model_with_missing_suffix_is_rejected(tmp_path):
     path = tmp_path / "open.nglm"
     _write_levels(path, [[("a", 1), ("b", 2)], [("ab", 2), ("zq", 1)]])
     with pytest.raises(ModelFormatError, match="'zq' has no order-1 suffix"):
+        read_model(path)
+
+
+@pytest.mark.parametrize(
+    "levels, bad",
+    [
+        ([[(BOS, 1), ("a", 1), ("b", 2)], [("a" + BOS, 1), ("ab", 2)]], r"order-1 entry '\x00'"),
+        ([[("a", 1), ("b", 2)], [(BOS + "b", 1), ("ab", 1)], [("a" + BOS + "b", 1)]],
+         r"order-3 entry 'a\x00b'"),
+    ],
+    ids=["predicts-bos", "inner-bos"],
+)
+def test_model_with_bos_past_the_leading_padding_is_rejected(tmp_path, levels, bad):
+    # Suffix-closed and sorted, but BOS only ever pads a gram on the left:
+    # as a fixed-width string, a gram ending in BOS reads as a shorter one.
+    path = tmp_path / "bos.nglm"
+    _write_levels(path, levels)
+    with pytest.raises(ModelFormatError, match=re.escape(bad)):
         read_model(path)

@@ -4,9 +4,9 @@ The oracle is the model's former code: it counts every order at every
 position, keeps a nested table per order (context -> successor probabilities
 and back-off weight), and runs the interpolation recursion from the uniform
 distribution up through every order for each query. `NGramLM` counts the top
-order only, stores each seen gram's interpolated probability and looks it up,
-and must give the same counts and the same floats, bit for bit: every
-assertion here is `==`.
+order only, keeps each order's grams, counts and interpolated probabilities
+in sorted arrays and looks them up, and must give the same counts and the
+same floats, bit for bit: every assertion here is `==`.
 """
 
 import math
@@ -15,9 +15,12 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpus_forge import fluency
 from corpus_forge.documents import Document
 from corpus_forge.fluency import (
     BOS,
@@ -26,6 +29,7 @@ from corpus_forge.fluency import (
     _holdout_pick,
     normalize_text,
     read_model,
+    score_documents,
     split_paragraphs,
     train_ngram_lm,
     write_model,
@@ -252,6 +256,11 @@ def _train(train, texts_, *args):
     return (None, lm) if isinstance(lm, str) else (lm, None)
 
 
+def _level_counts(lm):
+    """The model's count tables as one {gram: count} dict per order."""
+    return [dict(zip(g.tolist(), c.tolist())) for g, c in lm.levels()]
+
+
 def _outputs(lm, query_list, text_list):
     out = [lm.prob(char, ctx) for char, ctx in query_list]
     assert all(p > 0.0 for p in out)
@@ -286,7 +295,7 @@ def test_model_matches_the_recursion_oracle(corpus, order, holdout, seed, query_
     assert error == oracle_error
     if oracle is None:
         return
-    assert lm.level_counts == oracle.level_counts
+    assert _level_counts(lm) == oracle.level_counts
     assert lm.vocab == oracle.vocab
     assert lm.h_ref == oracle.h_ref
     expected = _outputs(oracle, query_list, text_list)
@@ -295,7 +304,7 @@ def test_model_matches_the_recursion_oracle(corpus, order, holdout, seed, query_
         path = Path(tmp) / "model.nglm"
         write_model(lm, path)
         loaded = read_model(path)
-    assert loaded.level_counts == oracle.level_counts
+    assert _level_counts(loaded) == oracle.level_counts
     assert loaded.h_ref == oracle.h_ref
     assert _outputs(loaded, query_list, text_list) == expected
 
@@ -312,3 +321,31 @@ def test_every_seen_gram_in_every_context_matches_the_oracle(corpus, order):
     for ctx in sorted(contexts):
         for char in SEEN + UNSEEN:
             assert lm.prob(char, ctx) == oracle.prob(char, ctx), (char, ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus=corpora,
+    order=st.integers(2, 8),
+    chunk=st.sampled_from([1, 2, 3, 7]),
+    query_list=queries,
+    text_list=texts,
+)
+def test_chunks_of_any_size_count_and_score_as_the_oracle(
+    corpus, order, chunk, query_list, text_list
+):
+    """Counting, h_ref and scoring cut sequences into pieces, and scoring
+    batches documents, of about `_CHUNK` characters; tiny chunks cut inside
+    every sequence and document."""
+    oracle, oracle_error = _train(oracle_train, corpus, order, 0.4, 1)
+    with mock.patch.object(fluency, "_CHUNK", chunk):
+        lm, error = _train(train_ngram_lm, corpus, order, 0.4, 1)
+        assert error == oracle_error
+        if oracle is None:
+            return
+        assert _level_counts(lm) == oracle.level_counts
+        assert lm.h_ref == oracle.h_ref
+        assert _outputs(lm, query_list, text_list) == _outputs(oracle, query_list, text_list)
+        docs = [Document(id=str(i), text=t) for i, t in enumerate(text_list)]
+        scores = [doc.scores["fluency"] for doc in score_documents(lm, docs)]
+    assert scores == [oracle.document_score(t) if t.strip() else 0.0 for t in text_list]

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from corpus_forge import bpe, dedup, embeddings, pipeline
 from corpus_forge.cli import main
 from corpus_forge.documents import Document, read_documents, write_documents
+from corpus_forge.fluency import train_ngram_lm, write_model
 from corpus_forge.pipeline import (
     STAGE_NAMES,
     ConfigValidationError,
@@ -332,6 +334,31 @@ def test_every_stage_reruns_alone(demo_dir, demo_run, tmp_path):
         report = run_pipeline(cfg)
         assert [s.name for s in report.stages] == [stage]
         assert _tree(tree) == expected, f"rerun of {stage} changed the tree"
+
+
+def test_fluency_trains_up_to_the_document_that_reaches_max_train_chars(
+    demo_dir, demo_run, tmp_path
+):
+    cfg, _, full = demo_run
+    train = next(ds for ds in cfg.datasets if ds.name == cfg.fluency.train_dataset)
+    docs = list(read_documents(_input_path(cfg, "fluency", train)))
+    tree = tmp_path / "tree"
+    shutil.copytree(full, tree)
+    rerun = _load(demo_dir)
+    rerun.output_dir = tree
+    rerun.stages = ["fluency"]
+    # Reached inside the third document, which is the last one trained on.
+    limit = len(docs[0].text) + len(docs[1].text) + 1
+    rerun.fluency = replace(rerun.fluency, max_train_chars=limit)
+    run_pipeline(rerun)
+    models = []
+    for n in (2, 3, 4):
+        models.append(tmp_path / f"first{n}.nglm")
+        write_model(train_ngram_lm(docs[:n], order=rerun.fluency.order,
+                                   holdout_fraction=rerun.fluency.holdout_fraction,
+                                   seed=rerun.seed), models[-1])
+    made = (tree / "fluency" / "model.nglm").read_bytes()
+    assert [made == m.read_bytes() for m in models] == [False, True, False]
 
 
 def test_stages_rerun_after_failed_stage(demo_dir, demo_run, tmp_path, monkeypatch):

@@ -33,10 +33,12 @@ only. It exits 1 if there is any.
 
 `peaks` places a memory saving. For the seed-1 inputs of every workload it
 runs `corpus-forge run` from each checkout, then reruns each configured stage
-alone on that tree through the checkout's `tests/helpers.py`, and prints each
-stage's own peak resident set (VmHWM) per side. The traced
-`stage.<name>_maxrss_mb` cannot: it reads the high-water mark of the process
-that spawned the run.
+alone on that tree, all through the checkout's `tests/helpers.py`, and
+prints the whole run's peak resident set (VmHWM) and each stage's own, per
+side. The traced `stage.<name>_maxrss_mb` cannot: it reads the high-water
+mark of the process that spawned the run. Nor do the stages' own peaks make
+the whole run's: a stage that runs after others starts on the heap they
+leave behind.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+WHOLE_RUN = "whole run"  # the `peaks` row of the whole `corpus-forge run`
 
 
 def invoke(checkout: Path, rss_path: Path, argv: list[str]) -> int:
@@ -319,9 +322,10 @@ def _workload_configs(parent: Path, work: Path) -> dict[str, Path]:
 
 
 def peaks_table(peaks: dict[str, dict[str, dict[str, int]]]) -> list[str]:
-    """Lines of `peaks` (side -> workload -> stage -> VmHWM kB): one row per
-    workload and stage with each side's MiB and the change's relative to
-    the parent's; a stage one side lacks shows `-`."""
+    """Lines of `peaks` (side -> workload -> stage -> VmHWM kB, the whole
+    run under WHOLE_RUN): one row per workload and stage with each side's
+    MiB and the change's relative to the parent's; a stage one side lacks
+    shows `-`."""
     lines = [f"{'workload':<18} {'stage':<10} {'parent MiB':>10} {'change MiB':>10} {'change':>8}"]
     workloads = dict.fromkeys(w for side in SIDES for w in peaks.get(side, {}))
     for workload in workloads:
@@ -339,18 +343,20 @@ def run_peaks(args: argparse.Namespace) -> int:
     work = Path(args.work).resolve()
     configs = _workload_configs(checkouts["parent"], work)
     peaks: dict[str, dict[str, dict[str, int]]] = {side: {} for side in SIDES}
+    peak = work / "peak.kb"
     for name, config in configs.items():
         payload = json.loads(config.read_text(encoding="utf-8"))
         for side, checkout in checkouts.items():
             tree = work / "trees" / side / name
             shutil.rmtree(tree, ignore_errors=True)
-            _cli(checkout, ["run", "--config", str(config), "--out", str(tree)])
+            runs = [(WHOLE_RUN, config)]
             for stage in payload["stages"]:
                 # Beside the original, so its relative paths still resolve.
                 alone = config.with_name(f"{config.stem}.{stage}.json")
                 alone.write_text(json.dumps({**payload, "stages": [stage]}), encoding="utf-8")
-                peak = work / "peak.kb"
-                _cli(checkout, ["run", "--config", str(alone), "--out", str(tree)],
+                runs.append((stage, alone))
+            for stage, run_config in runs:
+                _cli(checkout, ["run", "--config", str(run_config), "--out", str(tree)],
                      helper=checkout / "tests" / "helpers.py", peak=peak)
                 peaks[side].setdefault(name, {})[stage] = int(peak.read_text(encoding="ascii"))
                 print(f"{side} {name} {stage}: {peaks[side][name][stage]} kB", file=sys.stderr)
@@ -373,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     t.add_argument("--parent", required=True, help="checkout of the parent commit")
     t.add_argument("--change", required=True, help="checkout of the change")
     t.add_argument("--work", required=True, help="directory for the inputs and the trees")
-    k = sub.add_parser("peaks", help="each stage's own peak RSS, rerun alone, per side")
+    k = sub.add_parser("peaks", help="the whole run's and each stage's own peak RSS, per side")
     k.add_argument("--parent", required=True, help="checkout of the parent commit")
     k.add_argument("--change", required=True, help="checkout of the change")
     k.add_argument("--work", required=True, help="directory for the inputs and the trees")
