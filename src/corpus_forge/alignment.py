@@ -62,7 +62,6 @@ class ChatTemplate:
 
 
 _MANY_BLANK = re.compile(r"\n{3,}")
-_TRAIL_WS = re.compile(r"[ \t]+\n")
 
 # Characters counted as in-distribution for Greek preference data: ASCII,
 # the Greek blocks, and common typographic punctuation.
@@ -104,7 +103,9 @@ def _dominant_script(text: str) -> str | None:
 def normalize_formatting(text: str) -> str:
     """NFC, LF endings, no trailing spaces, at most one blank line in a row."""
     text = unicodedata.normalize("NFC", text).replace("\r\n", "\n").replace("\r", "\n")
-    text = _TRAIL_WS.sub("\n", text)
+    # Per line, not `[ \t]+\n`: that regex rescans a long run of spaces
+    # without a newline from every start, quadratic in the run's length.
+    text = "\n".join(line.rstrip(" \t") for line in text.split("\n"))
     text = _MANY_BLANK.sub("\n\n", text)
     return text.strip()
 

@@ -66,9 +66,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_filter(args) -> int:
     out = _require(args, "out", "--out")
     cfg = _section(FilterConfig, args).with_wordlists()
-    lm = fluency.read_model(args.fluency_model) if args.fluency_model else None
     dropped = []
-    kept_n = write_documents(out, filter_documents(_read_many(args.inputs), cfg, dropped, lm))
+    kept_n = write_documents(out, filter_documents(_read_many(args.inputs), cfg, dropped))
     if args.report:
         write_drop_report(args.report, dropped)
     print(f"kept {kept_n}, dropped {len(dropped)} -> {out}")
@@ -344,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bad-word-threshold", type=int)
     p.add_argument("--bad-words", dest="bad_words_path")
     p.add_argument("--url-blacklist", dest="url_blacklist_path")
-    p.add_argument("--fluency-model", default=None)
     p.add_argument("--fluency-threshold", type=float)
     p.set_defaults(func=_cmd_filter)
 

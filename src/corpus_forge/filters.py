@@ -153,14 +153,14 @@ def clean_pdf_artifacts(text: str, max_word_len: int = FilterConfig.max_word_len
     return "\n".join(kept)
 
 
-def filter_document(doc: Document, cfg: FilterConfig, lm=None) -> Verdict:
+def filter_document(doc: Document, cfg: FilterConfig) -> Verdict:
     """Evaluate all enabled rules against one document.
 
     PDF-extracted documents are artifact-cleaned first and judged on the
-    cleaned text. The fluency rule consumes a precomputed
-    doc.scores["fluency"] when present, otherwise scores via the given
-    language model; with neither available the rule is skipped (the
-    pipeline validator reports that misconfiguration upfront).
+    cleaned text. The fluency rule applies to a document whose extraction
+    kind is in cfg.fluency_applies_to and that carries a precomputed
+    doc.scores["fluency"] (from `fluency score` or the pipeline's fluency
+    stage); a document without one is not judged by it.
     """
     cleaned_text: Optional[str] = None
     text = doc.text
@@ -188,12 +188,8 @@ def filter_document(doc: Document, cfg: FilterConfig, lm=None) -> Verdict:
             reasons.append(RULE_FORBIDDEN_SUBSTRING)
     if cfg.url_blacklist and url_blacklisted(doc.source_url, cfg.url_blacklist):
         reasons.append(RULE_URL_BLACKLIST)
-    if doc.extraction in cfg.fluency_applies_to:
-        score = None
-        if doc.scores and "fluency" in doc.scores:
-            score = doc.scores["fluency"]
-        elif lm is not None and text.strip():
-            score = lm.document_score(text)
+    if doc.extraction in cfg.fluency_applies_to and doc.scores:
+        score = doc.scores.get("fluency")
         if score is not None and score < cfg.fluency_threshold:
             reasons.append(RULE_FLUENCY)
 
@@ -204,12 +200,11 @@ def filter_documents(
     docs: Iterable[Document],
     cfg: FilterConfig,
     dropped: list[tuple[str, tuple[str, ...]]],
-    lm=None,
 ) -> Iterator[Document]:
     """Survivors of filter_document, with PDF-cleaned text applied; each
     dropped document's (id, reasons) is appended to `dropped`."""
     for doc in docs:
-        verdict = filter_document(doc, cfg, lm=lm)
+        verdict = filter_document(doc, cfg)
         if not verdict.keep:
             dropped.append((doc.id, verdict.reasons))
             continue

@@ -1,7 +1,12 @@
 import math
+import re
+import time
+import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_forge.alignment import (
     Category,
@@ -109,6 +114,31 @@ def test_normalize_formatting_rules():
     assert normalize_formatting("a\r\nb") == "a\nb"
     assert normalize_formatting("a\n\n\n\nb") == "a\n\nb"
     assert normalize_formatting("  a  ") == "a"
+
+
+def _normalize_by_regex(text: str) -> str:
+    """The reference: trailing blanks removed by `[ \t]+\n`."""
+    text = unicodedata.normalize("NFC", text).replace("\r\n", "\n").replace("\r", "\n")
+    text = re.sub(r"[ \t]+\n", "\n", text)
+    text = re.sub(r"\n{3,}", "\n\n", text)
+    return text.strip()
+
+
+_LAYOUT = st.sampled_from([" ", "\t", "\n", "\r", "\r\n", "\x0c", "\xa0", "\u2028",
+                           "a", "Ω", "e\u0301"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LAYOUT | st.characters(), max_size=40).map("".join))
+def test_normalize_formatting_matches_the_regex_reference(text):
+    assert normalize_formatting(text) == _normalize_by_regex(text)
+
+
+def test_normalize_formatting_is_linear_in_a_run_of_spaces():
+    text = "a" + " " * 1_000_000 + "b"
+    start = time.perf_counter()
+    assert normalize_formatting(text) == text
+    assert time.perf_counter() - start < 1.0
 
 
 # assign_system_message -------------------------------------------------------

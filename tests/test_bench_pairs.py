@@ -80,6 +80,26 @@ def test_within_bound_by_direction(factor, lower_ok, higher_ok):
     assert entry["pairs"] == 10 and entry["all_correct"]
 
 
+def test_run_counts_per_invocation_flag_sides_that_differ():
+    runs = []
+    for workload, counts in {"same": [(2, 2), (3, 3)], "apart": [(2, 2), (2, 3)]}.items():
+        for seed, pair in enumerate(counts):
+            for side, count in zip(("parent", "change"), pair):
+                record = _record(side, seed, {"ref_run_s": 1.0, "ref_docs_per_s": 1.0},
+                                 workload=workload)
+                record["rss"] = {"run_count": count, "runs": [{"maxrss_mb": 1.0}] * count}
+                runs.append(record)
+    runs.append(_record("parent", 0, {"ref_run_s": 1.0, "ref_docs_per_s": 1.0}, workload="x"))
+    runs.append(_record("change", 0, {"ref_run_s": 1.0, "ref_docs_per_s": 1.0}, workload="x"))
+    summary = bench_pairs.summarise(runs, METRICS, None)
+    assert summary["same"]["run_counts"] == {"parent": [2, 3], "change": [2, 3]}
+    assert summary["same"]["run_counts_differ"] is False
+    assert summary["apart"]["run_counts"] == {"parent": [2, 2], "change": [2, 3]}
+    assert summary["apart"]["run_counts_differ"] is True
+    # An invocation without recorded runs counts as None on its side.
+    assert summary["x"]["run_counts"] == {"parent": [None], "change": [None]}
+
+
 def test_traced_medians_per_workload_and_side():
     layers = {
         "parent": [{"fluency.train_s": 1.0, "fluency.score_s": 2.0, "dedup.hash_s": 0},

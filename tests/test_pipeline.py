@@ -8,8 +8,8 @@ import pytest
 
 from corpus_forge import bpe, dedup, embeddings, pipeline
 from corpus_forge.cli import main
-from corpus_forge.documents import Document, read_documents, write_documents
-from corpus_forge.fluency import train_ngram_lm, write_model
+from corpus_forge.documents import Document, Extraction, read_documents, write_documents
+from corpus_forge.fluency import read_model, score_documents, train_ngram_lm, write_model
 from corpus_forge.pipeline import (
     STAGE_NAMES,
     ConfigValidationError,
@@ -698,6 +698,37 @@ def test_cli_fluency_roundtrip(tmp_path, demo_dir, capsys):
     assert rc == 0
     line = json.loads(scored.read_text().splitlines()[0])
     assert "fluency" in line["scores"]
+
+    # `--drop-below` drops exactly what score_documents scores below it, of
+    # every extraction kind, not only the fluency_applies_to ones.
+    inputs = [demo_dir / "el_pdf.jsonl", demo_dir / "el_web.jsonl"]
+    lm = read_model(model)
+    expected = {d.id: (d.extraction, d.scores["fluency"])
+                for p in inputs for d in score_documents(lm, read_documents(p))}
+    kept = tmp_path / "kept.jsonl"
+    rc = main(["fluency", "score", "--model", str(model), "--in", *map(str, inputs),
+               "--out", str(kept), "--drop-below", "0.5"])
+    assert rc == 0
+    low = {i for i, (_, score) in expected.items() if score < 0.5}
+    assert {e for e, _ in map(expected.get, low)} == {Extraction.PDF, Extraction.WEB}
+    survivors = {d.id: d.scores["fluency"] for d in read_documents(kept)}
+    assert survivors.keys() == expected.keys() - low
+    assert survivors == {i: expected[i][1] for i in survivors}
+    assert f"scored {len(expected)} documents, dropped {len(low)}" in capsys.readouterr().out
+
+    # `filter` then drops a PDF document by its precomputed score alone; a
+    # web document scored as low is outside fluency_applies_to and stays.
+    report = tmp_path / "report.jsonl"
+    rc = main(["filter", "--in", str(kept), "--out", str(tmp_path / "filtered.jsonl"),
+               "--report", str(report), "--fluency-threshold", "0.8"])
+    assert rc == 0
+    by_fluency = {r["id"] for r in map(json.loads, report.read_text().splitlines())
+                  if "fluency" in r["reasons"]}
+    assert by_fluency
+    assert by_fluency == {i for i, score in survivors.items()
+                          if expected[i][0] is Extraction.PDF and score < 0.8}
+    assert any(expected[i][0] is Extraction.WEB and score < 0.8
+               for i, score in survivors.items())
 
 
 def test_cli_parallel_subcommands(tmp_path, demo_dir, capsys):

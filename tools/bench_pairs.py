@@ -16,7 +16,11 @@ them all: per workload and end-to-end metric of BENCHMARK.json, the
 quartiles of each side, the relative change of the medians, the pairs the
 change won, and whether the change stays within the metric's bound. A claim
 holds when the change wins at least 9 of every 10 pairs and the medians
-differ in its favour by more than the parent's interquartile range. The
+differ in its favour by more than the parent's interquartile range. Each
+workload also lists every invocation's run count per side and flags the
+workload when the two sides' counts differ pair by pair: the benchmark's
+`peak_rss_mb` of a later run reads the high-water mark run.py itself left,
+so sides that make different numbers of runs compare inherited marks. The
 `--trace 1` runs are summarised by `traced_medians`: per workload and side,
 the median of every layer metric, and the change's relative to the parent's.
 
@@ -128,6 +132,8 @@ def summarise(runs: list[dict], metrics: list[dict], claim: str | None) -> dict:
             if r["workload"] == workload:
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in by_seed.values() if all(p.get(s) and p[s]["result"] for s in SIDES)]
+        counts = {s: [p[s]["rss"]["run_count"] if p[s]["rss"] else None for p in pairs]
+                  for s in SIDES}
         entry = {
             "seeds": sorted(by_seed),
             "pairs": len(pairs),
@@ -136,6 +142,8 @@ def summarise(runs: list[dict], metrics: list[dict], claim: str | None) -> dict:
                                       if not (p.get(s) and p[s]["result"])),
             "failed_operations": {s: sum(p[s]["result"]["failed"] for p in pairs)
                                   for s in SIDES},
+            "run_counts": counts,
+            "run_counts_differ": counts["parent"] != counts["change"],
         }
         for m in metrics if pairs else []:
             name, lower = m["name"], m["better"] == "lower"
