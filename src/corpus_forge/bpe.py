@@ -393,6 +393,11 @@ def fertility_counts(
 def fertility(vocab: Vocab | ExtendedVocab, corpus: Iterable[Document]) -> float:
     """Total encoded tokens divided by total whitespace words."""
     (tokens,), words = fertility_counts([vocab], corpus)
+    return tokens_per_word(tokens, words)
+
+
+def tokens_per_word(tokens: int, words: int) -> float:
+    """Fertility from its counts; a corpus with no words has none."""
     if words == 0:
         raise ValueError("corpus contains no words")
     return tokens / words

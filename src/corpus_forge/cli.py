@@ -179,7 +179,8 @@ def _cmd_tok_encode(args) -> int:
 def _cmd_tok_fertility(args) -> int:
     vocab = bpe.load_vocab(args.vocab)
     (tokens,), words = bpe.fertility_counts([vocab], _read_many(args.inputs))
-    print(f"tokens={tokens} words={words} fertility={tokens / words:.6f}")
+    fertility = bpe.tokens_per_word(tokens, words)
+    print(f"tokens={tokens} words={words} fertility={fertility:.6f}")
     return EXIT_OK
 
 

@@ -319,17 +319,13 @@ def read_documents(path: str | Path) -> Iterator[Document]:
 
 class DocumentFile:
     """A JSONL document file read anew on each iteration, for consumers that
-    make more than one pass; `datasets` collects the `dataset` field of
-    every document read."""
+    make more than one pass."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.datasets: set[str] = set()
 
     def __iter__(self) -> Iterator[Document]:
-        for doc in read_documents(self.path):
-            self.datasets.add(doc.dataset)
-            yield doc
+        return read_documents(self.path)
 
 
 def write_documents(path: str | Path, docs: Iterable[Document]) -> int:

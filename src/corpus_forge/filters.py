@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 from urllib.parse import urlsplit
 
 from .config import NOT_A_KEY
@@ -112,12 +112,12 @@ def count_bad_words(text: str, entries: tuple[str, ...]) -> int:
     return len(pattern.findall(_norm(text)))
 
 
-def url_blacklisted(url: Optional[str], blacklist: Iterable[str]) -> bool:
-    """True iff the url host equals a blacklisted domain or is a subdomain of one."""
-    if not url:
-        return False
-    domains = {d.lower().strip(".") for d in blacklist}
-    if not domains:
+def url_blacklisted(url: Optional[str], blacklist: Collection[str]) -> bool:
+    """True iff the url host equals a blacklisted domain or is a subdomain of
+    one. `blacklist` holds lowercase domains without outer dots, as
+    `FilterConfig.url_blacklist` does once `__post_init__` has normalised it;
+    the host and each of its suffixes after a dot are looked up in it."""
+    if not url or not blacklist:
         return False
     try:
         host = urlsplit(url).hostname
@@ -134,7 +134,8 @@ def url_blacklisted(url: Optional[str], blacklist: Iterable[str]) -> bool:
             log.warning("unparseable url treated as non-blacklisted: %r", url)
             return False
     host = host.lower().strip(".")
-    return any(host == d or host.endswith("." + d) for d in domains)
+    return host in blacklist or any(
+        host[i + 1:] in blacklist for i, c in enumerate(host) if c == ".")
 
 
 # Runs of >=5 single alphabetic characters separated by single spaces.

@@ -2,10 +2,11 @@
 
 Every stage reads its inputs from files and writes its outputs to files under
 the run's output directory, so any stage can be rerun independently and two
-runs with the same seed are byte-identical. A stage that reads documents takes
-each dataset from the latest earlier document stage (see `_input_path`).
-Outputs are written with a .partial suffix and renamed only when the stage
-succeeds.
+runs with the same seed are byte-identical. Validation checks only the input
+files of the stages that run. A stage that reads documents takes each dataset
+from the latest earlier document stage (see `_input_path`); a document stage
+writes that input's survivors to the dataset's own `<name>.jsonl`. Outputs
+are written with a .partial suffix and renamed only when the stage succeeds.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ class DatasetSpec:
     pre_deduplicated: bool = False
     extraction: Extraction = Extraction.WEB
 
+    def __post_init__(self) -> None:
+        # Stages write <name>.jsonl inside their own directory.
+        if self.name in ("", ".", "..") or "/" in self.name or "\0" in self.name:
+            raise ValueError(f"dataset name {self.name!r} is not a plain file name")
+
 
 @dataclass(frozen=True)
 class StatsConfig:
@@ -114,7 +120,8 @@ class PipelineConfig:
 
 def validate_config(cfg: PipelineConfig) -> list[Issue]:
     """Cross-section and filesystem checks; error-level issues block
-    execution. Each section checks its own values when it is built."""
+    execution. Each section checks its own values when it is built. A
+    section's files are checked only when the stage that reads them runs."""
     issues: list[Issue] = []
 
     def error(msg: str) -> None:
@@ -129,16 +136,26 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
             error(f"unknown stage {name!r}")
     # A stage that succeeds deletes every file in its directory it did not write.
     cleared = {(cfg.output_dir / s).resolve(): s for s in STAGE_NAMES if s in stages}
+    # A section's files are read by the stage of its name, except that ingest
+    # reads `datasets` and filter `filters`; a disabled fluency stage reads none.
+    reader = {"datasets": "ingest", "filters": "filter"}
+    reading = stages if cfg.fluency.enabled else stages - {"fluency"}
+    missing = []
     for key, path in path_values(cfg):
         if key != "output_dir" and (stage := cleared.get(path.parent.resolve())):
             error(f"{key}: input file {path} is in the directory that the {stage} stage clears")
+        section = key.partition(".")[0].partition("[")[0]
+        if reader.get(section, section) in reading and not path.is_file():
+            missing.append(section)
+            error(f"{key}: missing file {path}")
+    for key in ("parallel.path", "alignment.preferences_path", "alignment.system_messages_path"):
+        section, name = key.split(".")
+        if section in stages and getattr(getattr(cfg, section), name) is None:
+            error(f"{key}: no file given")
     if not cfg.datasets and stages & {"ingest", "filter", "fluency", "dedup",
                                       "tokenizer", "stats"}:
         error("empty input dataset list")
     names = [d.name for d in cfg.datasets]
-    for ds in cfg.datasets:
-        if "ingest" in stages and not ds.path.exists():
-            error(f"dataset {ds.name!r}: missing file {ds.path}")
     readers = {"filter", "dedup", "tokenizer", "stats"}
     if cfg.fluency.enabled:
         readers.add("fluency")
@@ -149,23 +166,18 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
                       f"document stage runs or left {ds.name}.jsonl under {cfg.output_dir}")
 
     f = cfg.filters
-    if f.bad_word_threshold > 0 and f.bad_words_path is None:
-        warning("bad-word rule enabled but no bad_words_path given; rule is inert")
-    missing = [p for p in (f.bad_words_path, f.url_blacklist_path) if p and not p.exists()]
-    for path in missing:
-        error(f"filters: word list file missing: {path}")
-    if not missing:
-        try:
-            f.with_wordlists()
-        except (ValueError, OSError) as exc:
-            error(f"filters: {exc}")
+    if "filter" in stages:
+        if f.bad_word_threshold > 0 and f.bad_words_path is None:
+            warning("bad-word rule enabled but no bad_words_path given; rule is inert")
+        if "filters" not in missing:
+            try:
+                f.with_wordlists()
+            except (ValueError, OSError) as exc:
+                error(f"filters: {exc}")
 
     fl = cfg.fluency
     if fl.enabled and "fluency" in stages:
-        if fl.model_path is not None:
-            if not fl.model_path.exists():
-                error(f"fluency model file missing: {fl.model_path}")
-        elif fl.train_dataset not in names:
+        if fl.model_path is None and fl.train_dataset not in names:
             error(f"fluency training dataset {fl.train_dataset!r} is not a configured dataset")
     elif f.fluency_applies_to and "filter" in stages and not fl.enabled:
         warning(
@@ -174,31 +186,13 @@ def validate_config(cfg: PipelineConfig) -> list[Issue]:
         )
 
     t = cfg.tokenizer
-    if "tokenizer" in stages:
-        if t.base_vocab_path is not None:
-            if not t.base_vocab_path.exists():
-                error(f"base vocabulary file missing: {t.base_vocab_path}")
-        elif t.base_dataset not in names:
-            error(f"tokenizer base_dataset {t.base_dataset!r} is not configured")
-    for name, vocabs in (("embedding", ("base_vocab.json", "extended_vocab.json")),
-                         ("stats", ("extended_vocab.json",))):
-        if name in stages and "tokenizer" not in stages:
-            missing = [v for v in vocabs if not (cfg.output_dir / "tokenizer" / v).exists()]
-            if missing:
-                error(f"{name} stage requires the tokenizer stage or "
-                      f"{', '.join(missing)} under {cfg.output_dir / 'tokenizer'}")
-    e = cfg.embedding
-    if e.base_matrix_path is not None and not e.base_matrix_path.exists():
-        error(f"embedding base matrix missing: {e.base_matrix_path}")
-
-    a = cfg.alignment
-    if "alignment" in stages:
-        if a.preferences_path is None or not a.preferences_path.exists():
-            error(f"preference data file missing: {a.preferences_path}")
-        if a.system_messages_path is None or not a.system_messages_path.exists():
-            error(f"system messages file missing: {a.system_messages_path}")
-    if "parallel" in stages and (cfg.parallel.path is None or not cfg.parallel.path.exists()):
-        error(f"parallel pairs file missing: {cfg.parallel.path}")
+    if "tokenizer" in stages and t.base_vocab_path is None and t.base_dataset not in names:
+        error(f"tokenizer base_dataset {t.base_dataset!r} is not configured")
+    vocab = cfg.output_dir / "tokenizer" / "extended_vocab.json"
+    for name in ("embedding", "stats"):
+        if name in stages and "tokenizer" not in stages and not vocab.exists():
+            error(f"{name} stage requires the tokenizer stage or "
+                  f"{vocab.name} under {vocab.parent}")
     return issues
 
 
@@ -337,23 +331,11 @@ def _stage_dedup(cfg: PipelineConfig, out: _StageDir) -> Counts:
     skip = [ds.name for ds in cfg.datasets if ds.pre_deduplicated]
     result = dedup.dedup_corpus(datasets, dcfg, skip_intra=skip)
     dedup.write_dedup_outputs(out.path, result)
-
-    # A survivor lands in the file of the dataset its `dataset` field names,
-    # in ingestion order; each input is read again for each dataset it holds.
-    names = {ds.name for ds in cfg.datasets}
-    unknown = set().union(*(f.datasets for _, f in datasets)) - names
-    if unknown:
-        raise ValueError(f"dedup inputs hold documents of unconfigured datasets {sorted(unknown)}")
+    # Each input's survivors stay in its dataset's file, in ingestion order.
     removed = result.removed_indices()
-    for ds in cfg.datasets:
-        survivors = (
-            doc
-            for (_, f), start in zip(datasets, result.bounds)
-            if ds.name in f.datasets
-            for i, doc in enumerate(f, start)
-            if i not in removed and doc.dataset == ds.name
-        )
-        write_documents(out.path(f"{ds.name}.jsonl"), survivors)
+    for (name, docs), start in zip(datasets, result.bounds):
+        survivors = (doc for i, doc in enumerate(docs, start) if i not in removed)
+        write_documents(out.path(f"{name}.jsonl"), survivors)
     summary = {st: rep.summary() for st, rep in result.reports.items()}
     write_json(out.path("summary.json"), summary)
     total = len(result.ids)
@@ -430,13 +412,14 @@ def _stage_tokenizer(cfg: PipelineConfig, out: _StageDir) -> Counts:
     bpe.save_vocab(ext, out.path("extended_vocab.json"))
 
     (base_tokens, ext_tokens), words = bpe.fertility_counts([base, ext], sample)
+    per_word = bpe.tokens_per_word
     write_json(
         out.path("fertility.json"),
         {
             "sample_docs": len(sample),
             "sample_words": words,
-            "base": {"tokens": base_tokens, "fertility": base_tokens / words},
-            "extended": {"tokens": ext_tokens, "fertility": ext_tokens / words},
+            "base": {"tokens": base_tokens, "fertility": per_word(base_tokens, words)},
+            "extended": {"tokens": ext_tokens, "fertility": per_word(ext_tokens, words)},
             "base_vocab_size": len(base.tokens),
             "extended_vocab_size": ext.total_size,
         },
@@ -446,8 +429,11 @@ def _stage_tokenizer(cfg: PipelineConfig, out: _StageDir) -> Counts:
 
 def _stage_embedding(cfg: PipelineConfig, out: _StageDir) -> Counts:
     e = cfg.embedding
-    base_vocab = bpe.load_vocab(cfg.output_dir / "tokenizer" / "base_vocab.json")
-    ext = bpe.load_vocab(cfg.output_dir / "tokenizer" / "extended_vocab.json")
+    path = cfg.output_dir / "tokenizer" / "extended_vocab.json"
+    ext = bpe.load_vocab(path)
+    if not isinstance(ext, bpe.ExtendedVocab):
+        raise ValueError(f"{path}: not an extended vocabulary")
+    base_vocab = ext.base
     role = embeddings.MatrixRole
 
     if e.base_matrix_path is not None:

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_forge.documents import Document, Extraction
 from corpus_forge.filters import (
@@ -139,6 +143,33 @@ def test_url_suffix_boundary_oracle():
     for host, expected in cases:
         assert oracle(host, "bad.example.gr") is expected
         assert url_blacklisted(f"http://{host}/p", BLACKLIST) is expected
+
+
+def _scan_oracle(url, blacklist):
+    """The old lookup: every blacklisted domain compared with the host."""
+    host = url.partition("//")[2].partition("/")[0].lower().strip(".")
+    return any(host == d or host.endswith("." + d) for d in blacklist)
+
+
+_labels = st.lists(st.sampled_from(["a", "b", "ab", "x-y", "Gr", "com", ""]), min_size=1,
+                   max_size=4).map(".".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(host=_labels.filter(lambda h: h.strip(".")), domains=st.lists(_labels, max_size=5))
+def test_url_suffix_lookup_matches_the_scan(host, domains):
+    blacklist = FilterConfig(url_blacklist=frozenset(domains)).url_blacklist
+    url = f"http://{host}/p"
+    assert url_blacklisted(url, blacklist) is _scan_oracle(url, blacklist)
+
+
+def test_url_lookup_does_not_scan_the_blacklist():
+    blacklist = frozenset(f"d{i}.example.gr" for i in range(1_000_000))
+    urls = [f"http://www.s{i}.d{i * 1997}.example.gr/p" for i in range(1_000)]
+    started = time.perf_counter()
+    hits = sum(url_blacklisted(url, blacklist) for url in urls)
+    assert time.perf_counter() - started < 0.5
+    assert hits == 501  # i * 1997 < 1_000_000
 
 
 def test_url_edge_cases():

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,9 +78,9 @@ def test_banding_overflow_is_reported_once(demo_dir, tmp_path):
 
 
 def test_missing_bad_words_file_is_error(demo_dir, tmp_path):
-    path = _config_file(demo_dir, tmp_path,
-                        filters={"bad_words_path": str(demo_dir / "missing.txt")})
-    assert any("list file missing" in m for m in _load_errors(path))
+    missing = demo_dir / "missing.txt"
+    path = _config_file(demo_dir, tmp_path, filters={"bad_words_path": str(missing)})
+    assert _load_errors(path) == [f"filters.bad_words_path: missing file {missing}"]
 
 
 def test_empty_dataset_list_is_error(demo_dir):
@@ -172,7 +174,12 @@ def test_head_typos_are_rejected_by_validate_only(demo_dir, tmp_path, capsys):
     ({"datasets": [{"name": "el_web", "path": "el_web.jsonl", "extracton": "pdf"}]},
      "datasets[0]: unknown key 'extracton'"),
     ({"stages": "dedup"}, "stages: expected array, got string 'dedup'"),
-], ids=["no-name", "null-section", "string-int", "misspelled-dataset-key", "string-stages"])
+    # Stages write <name>.jsonl, so a name must not leave or hide in their directory.
+    *(({"datasets": [{"name": name, "path": "el_web.jsonl"}]},
+       f"datasets[0]: dataset name {name!r} is not a plain file name")
+      for name in ("", ".", "..", "../escaped", "a/b", "a\0b")),
+], ids=["no-name", "null-section", "string-int", "misspelled-dataset-key", "string-stages",
+        "empty-name", "dot-name", "dot-dot-name", "escaping-name", "slash-name", "nul-name"])
 def test_malformed_config_exits_1_with_one_error_line(demo_dir, tmp_path, capsys, change,
                                                       expected):
     path = _config_file(demo_dir, tmp_path, **change)
@@ -193,6 +200,24 @@ def test_benchmark_and_synth_configs_load_clean(demo_dir, tmp_path):
         paths.append(gen.generate(workload, 1, tmp_path / workload, n_docs=50)["config"])
     for path in paths:
         assert _errors(PipelineConfig.load(path)) == [], path
+
+
+def test_traced_benchmark_run_fills_every_layer(demo_dir, tmp_path):
+    # perfbench/child.py --trace wraps the functions perfbench/layers.py
+    # names; a renamed one, or one its stage no longer calls, reads null.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", bench / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    config = _config_file(demo_dir, tmp_path, output_dir=str(tmp_path / "out"))
+    result = tmp_path / "result.json"
+    subprocess.run([sys.executable, str(bench / "child.py"), str(result), str(config), "--trace"],
+                   check=True, capture_output=True)
+    traced = json.loads(result.read_text())
+    assert traced["rc"] == 0 and traced["gone"] == []
+    metrics = layers.layer_metrics(traced["layers"], list(STAGE_NAMES), fluency_trains=True)
+    assert [m for m, v in metrics.items() if v["value"] is None] == []
+    json.dumps(metrics, allow_nan=False)
 
 
 def test_cli_section_flags_default_to_the_dataclass(tmp_path, capsys):
@@ -334,6 +359,64 @@ def test_every_stage_reruns_alone(demo_dir, demo_run, tmp_path):
         report = run_pipeline(cfg)
         assert [s.name for s in report.stages] == [stage]
         assert _tree(tree) == expected, f"rerun of {stage} changed the tree"
+
+
+def test_reruns_validate_only_the_files_their_stages_read(demo_dir, demo_run, tmp_path):
+    # The word list and base matrix are gone: a stats or dedup rerun on a
+    # finished tree never opens them and restores its directory byte for
+    # byte; a filter rerun names the word list it would read.
+    _, _, full = demo_run
+    expected = _tree(full)
+    tree = tmp_path / "tree"
+    shutil.copytree(full, tree)
+    cfg = PipelineConfig.load(_config_file(
+        demo_dir, tmp_path, filters={"bad_words_path": str(tmp_path / "gone.txt")},
+        embedding={"base_matrix_path": str(tmp_path / "gone.emb")}))
+    cfg.output_dir = tree
+    for stage in ("stats", "dedup"):
+        shutil.rmtree(tree / stage)
+        cfg.stages = [stage]
+        assert validate_config(cfg) == []
+        run_pipeline(cfg)
+        assert _tree(tree) == expected, f"rerun of {stage} changed the tree"
+    cfg.stages = ["filter"]
+    assert _errors(cfg) == [f"filters.bad_words_path: missing file {tmp_path / 'gone.txt'}"]
+
+
+def test_embedding_reads_only_the_extended_vocabulary(demo_dir, demo_run, tmp_path):
+    _, _, full = demo_run
+    tree = tmp_path / "tree"
+    shutil.copytree(full, tree)
+    (tree / "tokenizer" / "base_vocab.json").unlink()
+    shutil.rmtree(tree / "embedding")
+    cfg = _load(demo_dir)
+    cfg.output_dir = tree
+    cfg.stages = ["embedding"]
+    assert _errors(cfg) == []
+    run_pipeline(cfg)
+    assert _tree(tree / "embedding") == _tree(full / "embedding")
+    shutil.copy(full / "tokenizer" / "base_vocab.json", tree / "tokenizer" / "extended_vocab.json")
+    with pytest.raises(StageError, match="extended_vocab.json: not an extended vocabulary"):
+        run_pipeline(cfg)
+
+
+def test_dedup_survivors_stay_in_their_inputs_file(tmp_path):
+    # An earlier stage's file for dataset a holds a record whose `dataset`
+    # field names b; dedup keeps it in a's file, where it was read.
+    texts = ["ena dyo tria tessera pente exi epta okto ennia deka",
+             "completely different words appear here in this one",
+             "a third text that shares no shingle with the others"]
+    out = tmp_path / "out"
+    (out / "ingest").mkdir(parents=True)
+    write_documents(out / "ingest" / "a.jsonl", [Document(id="a1", text=texts[0], dataset="b"),
+                                                 Document(id="a2", text=texts[1], dataset="a")])
+    write_documents(out / "ingest" / "b.jsonl", [Document(id="b1", text=texts[2], dataset="b")])
+    config = {"datasets": [{"name": "a", "path": "a.jsonl"}, {"name": "b", "path": "b.jsonl"}],
+              "stages": ["dedup"]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    run_pipeline(PipelineConfig.load(tmp_path / "config.json"))
+    assert [[(d.id, d.dataset) for d in read_documents(out / "dedup" / f"{name}.jsonl")]
+            for name in ("a", "b")] == [[("a1", "b"), ("a2", "a")], [("b1", "b")]]
 
 
 def test_fluency_trains_up_to_the_document_that_reaches_max_train_chars(
@@ -598,9 +681,9 @@ def test_vocab_stages_need_tokenizer_output(demo_dir, demo_run, tmp_path):
     cfg.output_dir = tmp_path / "empty"
     errors = _errors(cfg)
     assert any(m.startswith("embedding stage requires the tokenizer stage or "
-                            "base_vocab.json, extended_vocab.json") for m in errors)
+                            "extended_vocab.json under ") for m in errors)
     assert any(m.startswith("stats stage requires the tokenizer stage or "
-                            "extended_vocab.json") for m in errors)
+                            "extended_vocab.json under ") for m in errors)
     cfg.output_dir = full
     assert _errors(cfg) == []
 
@@ -674,6 +757,30 @@ def test_cli_tok_and_fertility(tmp_path, demo_dir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "fertility=" in out
+
+
+def test_fertility_of_a_corpus_without_words_is_an_error(tmp_path, demo_dir, capsys):
+    vocab = tmp_path / "v.json"
+    assert main(["tok", "train", "--in", str(demo_dir / "en_wiki.jsonl"),
+                 "--target", "50", "--out", str(vocab)]) == 0
+    blank = [Document(id=f"e{i}", text=" \n\t" * i, dataset="g") for i in range(3)]
+    write_documents(tmp_path / "g.jsonl", blank)
+    capsys.readouterr()
+    assert main(["tok", "fertility", "--vocab", str(vocab),
+                 "--in", str(tmp_path / "g.jsonl")]) == 1
+    assert capsys.readouterr().err == "error: corpus contains no words\n"
+
+    # The tokenizer stage's fertility sample is its Greek documents, here none with a word.
+    shutil.copy(demo_dir / "en_wiki.jsonl", tmp_path / "en.jsonl")
+    datasets = [{"name": "en", "path": "en.jsonl", "language": "en"},
+                {"name": "g", "path": "g.jsonl", "language": "el"}]
+    tok = {"base_dataset": "en", "base_target_tokens": 300, "new_target_tokens": 310}
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"datasets": datasets, "tokenizer": tok, "stages": ["ingest", "tokenizer"]}))
+    with pytest.raises(StageError) as err:
+        run_pipeline(PipelineConfig.load(tmp_path / "config.json"))
+    assert err.value.stage == "tokenizer"
+    assert str(err.value.cause) == "corpus contains no words"
 
 
 def test_cli_tok_encode_roundtrip_text(tmp_path, demo_dir, capsys):
